@@ -64,13 +64,7 @@ FIG2_PARAMS = HomogeneousCoinParams(theta=math.pi / 4, eta=math.pi / 4,
 def _emit_field(field, args, default_name: str) -> None:
     out = getattr(args, "out", None)
     if out is None:
-        doc = {
-            "schema_version": io.SCHEMA_VERSION,
-            "horizon": len(field.slices) - 1,
-            "slices": [[float(v) for v in s] for s in field.slices],
-        }
-        json.dump(doc, sys.stdout)
-        sys.stdout.write("\n")
+        io.write_field_json(field, sys.stdout)
         return
     out = Path(out)
     if out.is_dir():
@@ -132,8 +126,12 @@ def cmd_synth(args) -> int:
 def cmd_evolve(args) -> int:
     _require(args, "schedule")
     schedule = io.read_schedule_json(args.schedule)
+    kind = "qw" if isinstance(schedule, CoinSchedule) else "rw"
+    if args.walk not in (None, kind):
+        raise WalkError(f"--walk {args.walk} does not match {args.schedule}, "
+                        f"which holds a {kind} schedule")
     steps = args.horizon if args.horizon is not None else schedule.steps
-    if isinstance(schedule, CoinSchedule):
+    if kind == "qw":
         init = tuple(float(x) for x in args.init.split(","))
         if len(init) != 2:
             raise WalkError("--init takes two comma-separated amplitudes")
@@ -175,7 +173,7 @@ def _hadamard_params(args) -> HomogeneousCoinParams:
 
 
 def cmd_hadamard(args) -> int:
-    _require(args, "theta")
+    _require(args, "theta", "horizon")
     params = _hadamard_params(args)
     horizon = args.horizon
     if args.route == "asymptotic":

@@ -11,17 +11,11 @@ any synthesis is attempted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    FluxField,
-    IntegrityError,
-    ProbabilitySequence,
-    from_storage_index,
-)
+from .lattice import FluxField, IntegrityError, ProbabilitySequence
 
 DEFAULT_TOL = 1e-10
 
@@ -45,14 +39,14 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
     for t in range(rho.horizon):
         cur = rho.slices[t]
         nxt = rho.slices[t + 1]
-        ltr = np.empty(t + 1)
-        ltr[0] = cur[0] - 2.0 * nxt[0]
-        for k in range(t):
-            ltr[k + 1] = ltr[k] + cur[k] + cur[k + 1] - 2.0 * nxt[k + 1]
-        rtl = np.empty(t + 1)
-        rtl[t] = 2.0 * nxt[t + 1] - cur[t]
-        for k in range(t - 1, -1, -1):
-            rtl[k] = rtl[k + 1] - cur[k] - cur[k + 1] + 2.0 * nxt[k + 1]
+        # Row k holds the three terms the recursion adds, in order, to step
+        # from site k to k + 1; one cumsum over the rows, read at every third
+        # entry, repeats the scalar recursion's roundings exactly.
+        steps = np.stack((cur[:-1], cur[1:], -2.0 * nxt[1:-1]), axis=1)
+        ltr = np.cumsum(np.concatenate(
+            ([cur[0] - 2.0 * nxt[0]], steps.ravel())))[::3]
+        rtl = np.cumsum(np.concatenate(
+            ([2.0 * nxt[t + 1] - cur[t]], -steps[::-1].ravel())))[::-3]
         gap = float(np.max(np.abs(ltr - rtl))) if t else abs(ltr[0] - rtl[0])
         if gap > PASS_AGREEMENT:
             raise IntegrityError(
@@ -106,31 +100,29 @@ def validate_sequence(rho: ProbabilitySequence,
     additive because rho can be exactly zero at interior sites.
     """
     flux = flux_from_rho(rho)
-    violations = []
-    boundary = []
-    undefined = []
-    for t in range(flux.steps):
-        js = flux.slices[t]
-        rs = rho.slices[t]
-        for k in range(t + 1):
-            n = from_storage_index(k, t)
-            j = float(js[k])
-            r = float(rs[k])
-            if r == 0.0:
-                if abs(j) > tol:
-                    violations.append(Violation(n, t, j, r))
-                else:
-                    undefined.append((n, t))
-                continue
-            if abs(j) > r + tol:
-                violations.append(Violation(n, t, j, r))
-            elif abs(abs(j) - r) <= tol:
-                boundary.append((n, t))
+    steps = flux.steps
+    js = np.concatenate(flux.slices) if steps else np.empty(0)
+    rs = np.concatenate(rho.slices[:steps]) if steps else np.empty(0)
+    # (t, n) of every site in slice order: t repeats t + 1 times.
+    ts = np.repeat(np.arange(steps), np.arange(1, steps + 1))
+    ns = 2 * (np.arange(len(ts)) - ts * (ts + 1) // 2) - ts
+    aj = np.abs(js)
+    zero = rs == 0.0
+    violated = np.where(zero, aj > tol, aj > rs + tol)
+    undefined = zero & ~violated
+    boundary = ~zero & ~violated & (np.abs(aj - rs) <= tol)
+
+    def sites(mask):
+        return tuple(zip(ns[mask].tolist(), ts[mask].tolist()))
+
+    violations = tuple(
+        Violation(n, t, j, r) for (n, t), j, r in
+        zip(sites(violated), js[violated].tolist(), rs[violated].tolist()))
     return FeasibilityReport(
         feasible=not violations,
-        violations=tuple(violations),
-        boundary_sites=tuple(boundary),
-        undefined_sites=tuple(undefined),
+        violations=violations,
+        boundary_sites=sites(boundary),
+        undefined_sites=sites(undefined),
     )
 
 

@@ -17,6 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
+from itertools import compress, repeat
+from operator import is_not, itemgetter, methodcaller
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .lattice import (
     ProbabilitySequence,
     ScalarField,
     WaveField,
-    from_storage_index,
     to_storage_index,
     SupportError,
 )
@@ -38,87 +40,156 @@ SCHEMA_VERSION = 1
 
 
 def _open_write(path):
+    """Open ``path`` for writing; an already open text stream is used as is
+    and left open."""
+    if hasattr(path, "write"):
+        return nullcontext(path)
     return open(path, "w", newline="")
+
+
+def _write_csv(path, header, *fields) -> None:
+    """``t,n,...`` rows, one value column per field, in (t, n) order, byte
+    for byte as ``csv.writer`` writes the ``repr`` of each value."""
+    with _open_write(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, cols in enumerate(zip(*(f.slices for f in fields))):
+            row = f"{t},%d" + ",%s" * len(cols) + "\r\n"
+            fh.write("".join(map(row.__mod__, zip(
+                range(-t, t + 1, 2), *(map(repr, c.tolist()) for c in cols)))))
 
 
 def write_field_csv(field, path) -> None:
     """Write a single-valued field as ``t,n,value`` rows in (t, n) order."""
-    with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n", "value"])
-        for t, s in enumerate(field.slices):
-            for k, v in enumerate(s):
-                writer.writerow([t, from_storage_index(k, t), repr(float(v))])
+    _write_csv(path, ("t", "n", "value"), field)
 
 
-def _parse_row(row, lineno, ncols):
-    if len(row) != ncols:
-        raise FormatError(f"row {lineno}: expected {ncols} columns, got {len(row)}")
+def _csv_columns(rows):
+    """The int64 t, int64 n and float value columns of ``t,n,value`` rows."""
+    width = np.fromiter(map(len, rows), np.int64, len(rows))
+    if (width != 3).any():
+        raise ValueError(f"expected 3 columns, got {width[width != 3][0]}")
+    return tuple(
+        np.fromiter(map(conv, map(itemgetter(col), rows)), dtype, len(rows))
+        for col, conv, dtype in ((0, int, np.int64), (1, int, np.int64),
+                                 (2, float, float)))
+
+
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _parse_prefix(items, columns):
+    """``columns(items[:m])`` for the longest prefix it accepts, m, and the
+    error it raises on ``items[m]`` (None when m = len(items)).
+
+    A bulk conversion reports no position when it fails, so only then are
+    the items tried one at a time to find the first bad one.
+    """
     try:
-        t = int(row[0])
-        n = int(row[1])
-        vals = [float(x) for x in row[2:]]
-    except ValueError as exc:
-        raise FormatError(f"row {lineno}: {exc}") from None
-    return t, n, vals
-
-
-def _read_csv_slices(path, ncols=3):
-    """Collect raw slices from a t,n,value[,...] CSV file."""
-    per_t: dict[int, dict[int, list[float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            t, n, vals = _parse_row(row, lineno, ncols)
+        return columns(items), len(items), None
+    except _PARSE_ERRORS:
+        for m, item in enumerate(items):
             try:
-                k = to_storage_index(n, t)
-            except SupportError as exc:
-                raise FormatError(f"row {lineno}: {exc}") from None
-            slot = per_t.setdefault(t, {})
-            if k in slot:
-                raise FormatError(f"row {lineno}: duplicate entry for (n={n}, t={t})")
-            slot[k] = vals
-    if not per_t:
+                columns([item])
+            except _PARSE_ERRORS as exc:
+                return columns(items[:m]), m, exc
+        raise
+
+
+def _check_sites(t, n, where, duplicate: str, steps=None) -> np.ndarray:
+    """Flat slice-order index t(t+1)/2 + k of each site (t, n).
+
+    Raises :class:`FormatError` for the first site that is off-support,
+    outside ``0 <= t < steps`` (when given) or a repeat of an earlier site;
+    ``where(i)`` prefixes the message for site i.
+    """
+    flat = t * (t + 1) // 2 + (n + t) // 2
+    repeated = np.ones(len(flat), dtype=bool)
+    repeated[np.unique(flat, return_index=True)[1]] = False
+    bad = (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
+    if steps is not None:
+        bad |= t >= steps
+    if bad.any():
+        i = int(np.argmax(bad))
+        ti, ni = int(t[i]), int(n[i])
+        if steps is not None and not 0 <= ti < steps:
+            raise FormatError(
+                f"{where(i)}entry at t={ti} outside horizon {steps}")
+        try:
+            to_storage_index(ni, ti)
+        except SupportError as exc:
+            raise FormatError(f"{where(i)}{exc}") from None
+        raise FormatError(f"{where(i)}{duplicate} for (n={ni}, t={ti})")
+    return flat
+
+
+def _unpack(flat, steps):
+    """Split a slice-order array into its slices t = 0..steps-1."""
+    return [flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2] for t in range(steps)]
+
+
+def _read_csv_slices(path):
+    """Collect the slices of a t,n,value CSV file; missing sites are zero.
+
+    Rows are numbered as csv.reader counts them (the header is row 1 and
+    blank rows count); of several faults, the first row's is reported.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    width = np.fromiter(map(len, rows), np.int64, len(rows))[1:]
+    lineno = np.flatnonzero(width) + 2
+    rows = list(compress(rows[1:], width))
+    if not rows:
         raise FormatError(f"{path}: no data rows")
-    horizon = max(per_t)
-    slices = []
-    for t in range(horizon + 1):
-        s = np.zeros((t + 1, ncols - 2))
-        for k, vals in per_t.get(t, {}).items():
-            s[k] = vals
-        slices.append(s)
-    return slices
+    (t, n, vals), m, exc = _parse_prefix(rows, _csv_columns)
+    flat = _check_sites(t, n, lambda i: f"row {lineno[i]}: ", "duplicate entry")
+    if exc is not None:
+        raise FormatError(f"row {lineno[m]}: {exc}")
+    horizon = int(t.max())
+    out = np.zeros((horizon + 1) * (horizon + 2) // 2)
+    out[flat] = vals
+    return _unpack(out, horizon + 1)
 
 
 def read_probability_csv(path) -> ProbabilitySequence:
-    slices = [s[:, 0] for s in _read_csv_slices(path)]
+    slices = _read_csv_slices(path)
     try:
         return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def write_field_json(field, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": len(field.slices) - 1,
-        "slices": [[float(v) for v in s] for s in field.slices],
-    }
+def _write_json(path, head: dict, key: str, runs) -> None:
+    """Write ``{**head, key: [...]}`` byte for byte as ``json.dump`` would,
+    plus a newline; ``runs`` yields the list's elements as JSON text, several
+    to a run, joined by ", ".
+
+    Callers encode each run with ``json.dumps``, which uses the C encoder
+    (``json.dump`` never does); the document is never one string in memory.
+    """
     with _open_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps({**head, key: []})[:-2])
+        for i, text in enumerate(runs):
+            fh.write(", " + text if i else text)
+        fh.write("]}\n")
+
+
+def write_field_json(field, path) -> None:
+    _write_json(path, {"schema_version": SCHEMA_VERSION,
+                       "horizon": len(field.slices) - 1},
+                "slices", (json.dumps(s.tolist()) for s in field.slices))
+
+
+def _reject_constant(name):
+    raise FormatError(f"non-finite number {name}")
 
 
 def _load_json(path):
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, FormatError) as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -147,14 +218,8 @@ def read_probability_json(path) -> ProbabilitySequence:
 
 
 def write_flux_json(flux: FluxField, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": flux.steps,
-        "slices": [[float(v) for v in s] for s in flux.slices],
-    }
-    with _open_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(path, {"schema_version": SCHEMA_VERSION, "horizon": flux.steps},
+                "slices", (json.dumps(s.tolist()) for s in flux.slices))
 
 
 def _wave_payload(w):
@@ -193,27 +258,32 @@ def read_wavefield_json(path):
     return cls(plus, minus)
 
 
+def _schedule_entries(t: int, values: np.ndarray) -> str:
+    """The v1 entries of schedule slice t as JSON text, in site order.
+
+    Undefined sites hold NaN, which json.dumps spells ``NaN``; defined
+    values are finite, so every ``NaN`` token becomes ``null``.
+    """
+    vals = json.dumps(values.tolist()).replace("NaN", "null")[1:-1]
+    entry = '{"t": %d, "n": %%d, "value": %%s}' % t
+    return ", ".join(map(entry.__mod__,
+                         zip(range(-t, t + 1, 2), vals.split(", "))))
+
+
 def write_schedule_json(schedule, path) -> None:
     kind = "coin" if isinstance(schedule, CoinSchedule) else "jump"
-    entries = []
-    for t in range(schedule.steps):
-        vals = schedule.value_slices[t]
-        defined = schedule.defined_slices[t]
-        for k in range(t + 1):
-            entries.append({
-                "t": t,
-                "n": from_storage_index(k, t),
-                "value": float(vals[k]) if defined[k] else None,
-            })
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": schedule.steps,
-        "kind": kind,
-        "entries": entries,
-    }
-    with _open_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(path, {"schema_version": SCHEMA_VERSION,
+                       "horizon": schedule.steps, "kind": kind},
+                "entries", (_schedule_entries(t, v) for t, v
+                            in enumerate(schedule.value_slices)))
+
+
+def _entry_columns(entries):
+    """The int64 t and n columns of v1 schedule entries."""
+    return tuple(
+        np.fromiter(map(int, map(itemgetter(key), entries)), np.int64,
+                    len(entries))
+        for key in ("t", "n"))
 
 
 def read_schedule_json(path):
@@ -226,39 +296,31 @@ def read_schedule_json(path):
         raise FormatError(f"{path}: malformed schedule document: {exc}") from None
     if kind not in ("coin", "jump"):
         raise FormatError(f"{path}: unknown schedule kind {kind!r}")
-    values = [np.full(t + 1, math.nan) for t in range(steps)]
-    defined = [np.zeros(t + 1, dtype=bool) for t in range(steps)]
-    seen = set()
-    for e in entries:
-        try:
-            t = int(e["t"])
-            n = int(e["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed schedule entry {e!r}") from None
-        if not 0 <= t < steps:
-            raise FormatError(f"{path}: entry at t={t} outside horizon {steps}")
-        try:
-            k = to_storage_index(n, t)
-        except SupportError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-        if (t, k) in seen:
-            raise FormatError(f"{path}: duplicate schedule entry for (n={n}, t={t})")
-        seen.add((t, k))
-        if e.get("value") is not None:
-            values[t][k] = float(e["value"])
-            defined[t][k] = True
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: malformed schedule document: entries "
+                          "is not a list")
+    (t, n), m, exc = _parse_prefix(entries, _entry_columns)
+    flat = _check_sites(t, n, lambda i: f"{path}: ",
+                        "duplicate schedule entry", steps)
+    if exc is not None:
+        raise FormatError(f"{path}: malformed schedule entry {entries[m]!r}")
+    given = list(map(methodcaller("get", "value"), entries))
+    present = np.fromiter(map(is_not, given, repeat(None)), bool, m)
+    try:
+        vals = np.fromiter(map(float, compress(given, present)), float,
+                           int(present.sum()))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed schedule value: {exc}") from None
+    defined = flat[present]
+    size = max(steps, 0) * (steps + 1) // 2
+    values = np.full(size, math.nan)
+    values[defined] = vals
+    mask = np.zeros(size, dtype=bool)
+    mask[defined] = True
     cls = CoinSchedule if kind == "coin" else JumpSchedule
-    return cls(values, defined)
+    return cls(_unpack(values, steps), _unpack(mask, steps))
 
 
 def write_mc_csv(rho: ProbabilitySequence, stderr: ScalarField, path) -> None:
     """Monte Carlo output: ``t,n,rho,stderr`` rows."""
-    with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n", "rho", "stderr"])
-        for t in range(rho.horizon + 1):
-            rs = rho.slices[t]
-            es = stderr.slices[t]
-            for k in range(t + 1):
-                writer.writerow(
-                    [t, from_storage_index(k, t), repr(float(rs[k])), repr(float(es[k]))])
+    _write_csv(path, ("t", "n", "rho", "stderr"), rho, stderr)

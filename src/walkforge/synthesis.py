@@ -27,6 +27,7 @@ from .lattice import (
     WaveField,
     from_storage_index,
     prefix_sums,
+    probability_from_wavefield,
     suffix_sums,
 )
 
@@ -54,23 +55,14 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
         suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
         suf_p = suffix_sums(prev)
         pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
-        pre_p = prefix_sums(prev)
-        wp2 = np.empty(t + 1)
-        wm2 = np.empty(t + 1)
-        for k in range(t + 1):
-            # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
-            if suf_c[k] <= 0.5:
-                wp2[k] = suf_c[k] - suf_p[k]
-            else:
-                left_p = pre_p[k - 1] if k >= 1 else 0.0
-                left_c = pre_c[k - 1] if k >= 1 else 0.0
-                wp2[k] = left_p - left_c
-            # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
-            if pre_c[k] <= 0.5:
-                left_p = pre_p[k - 1] if k >= 1 else 0.0
-                wm2[k] = pre_c[k] - left_p
-            else:
-                wm2[k] = suf_p[k] - suf_c[k + 1]
+        left_p = np.concatenate(([0.0], prefix_sums(prev)))  # sum_{j < k}
+        left_c = np.concatenate(([0.0], pre_c[:-1]))
+        # Each value comes from the partial sums anchored at the nearer cone
+        # edge, which keeps low-probability tails relatively accurate.
+        # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
+        wp2 = np.where(suf_c[:-1] <= 0.5, suf_c[:-1] - suf_p, left_p - left_c)
+        # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
+        wm2 = np.where(pre_c <= 0.5, pre_c - left_p, suf_p - suf_c[1:])
         for arr in (wp2, wm2):
             bad = arr < -NEG_CLAMP
             if bad.any():
@@ -99,39 +91,53 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
     angles = []
     defined = []
     for t in range(rho.horizon):
-        rs = rho.slices[t]
-        wp = w.plus_slices[t]
-        wm = w.minus_slices[t]
-        wp_next = w.plus_slices[t + 1]
-        wm_next = w.minus_slices[t + 1]
+        mask = rho.slices[t] > 0.0
+        r = rho.slices[t][mask]
+        wp = w.plus_slices[t][mask]
+        wm = w.minus_slices[t][mask]
+        wp_next = w.plus_slices[t + 1][1:][mask]
+        wm_next = w.minus_slices[t + 1][:-1][mask]
+        c = (wp * wp_next - wm * wm_next) / r
+        s = (wm * wp_next + wp * wm_next) / r
+        norm = c * c + s * s
+        bad = np.abs(norm - 1.0) > COIN_NORM_TOL
+        if bad.any():
+            i = int(np.argmax(bad))
+            k = int(np.flatnonzero(mask)[i])
+            raise IntegrityError(
+                f"coin at (n={from_storage_index(k, t)}, t={t}) has "
+                f"cos^2 + sin^2 = {norm[i]!r}; wave field inconsistent with "
+                "target")
+        s[(s >= -EDGE_CLAMP) & (s < 0.0)] = 0.0
         theta = np.full(t + 1, math.nan)
-        mask = rs > 0.0
-        for k in np.flatnonzero(mask):
-            r = rs[k]
-            c = (wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]) / r
-            s = (wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]) / r
-            norm = c * c + s * s
-            if abs(norm - 1.0) > COIN_NORM_TOL:
-                raise IntegrityError(
-                    f"coin at (n={from_storage_index(k, t)}, t={t}) has "
-                    f"cos^2 + sin^2 = {norm!r}; wave field inconsistent with "
-                    "target")
-            if -EDGE_CLAMP <= s < 0.0:
-                s = 0.0
-            th = math.atan2(s, c)
-            theta[k] = min(max(th, 0.0), math.pi)
+        theta[mask] = np.clip(np.arctan2(s, c), 0.0, math.pi)
         angles.append(theta)
         defined.append(mask)
     return CoinSchedule(angles, defined)
 
 
-def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
-    p = num / rho
-    if p < -EDGE_CLAMP or p > 1.0 + EDGE_CLAMP:
-        raise InfeasibleTargetError(
-            f"jump probability {p!r} at (n={n}, t={t}) outside [0, 1]",
-            n=n, t=t)
-    return min(max(p, 0.0), 1.0)
+def _jump_schedule(nums, rhos) -> JumpSchedule:
+    """p(n, t) = num / rho wherever rho > 0, undefined where rho = 0.
+
+    Values within EDGE_CLAMP of [0, 1] are clamped onto it; anything further
+    out raises :class:`InfeasibleTargetError` naming the first such site.
+    """
+    probs = []
+    defined = []
+    for t, (num, rs) in enumerate(zip(nums, rhos)):
+        mask = rs > 0.0
+        p = np.full(t + 1, math.nan)
+        p[mask] = num[mask] / rs[mask]
+        bad = (p < -EDGE_CLAMP) | (p > 1.0 + EDGE_CLAMP)
+        if bad.any():
+            k = int(np.argmax(bad))
+            n = from_storage_index(k, t)
+            raise InfeasibleTargetError(
+                f"jump probability {p[k]!r} at (n={n}, t={t}) outside [0, 1]",
+                n=n, t=t)
+        probs.append(np.clip(p, 0.0, 1.0))
+        defined.append(mask)
+    return JumpSchedule(probs, defined)
 
 
 def synthesize_jumps(rho: ProbabilitySequence,
@@ -141,19 +147,9 @@ def synthesize_jumps(rho: ProbabilitySequence,
         flux = flux_from_rho(rho)
     if flux.steps != rho.horizon:
         raise IntegrityError("flux field and target have different horizons")
-    probs = []
-    defined = []
-    for t in range(rho.horizon):
-        rs = rho.slices[t]
-        js = flux.slices[t]
-        p = np.full(t + 1, math.nan)
-        mask = rs > 0.0
-        for k in np.flatnonzero(mask):
-            n = from_storage_index(k, t)
-            p[k] = _jump_from_ratio(0.5 * (rs[k] + js[k]), rs[k], n, t)
-        probs.append(p)
-        defined.append(mask)
-    return JumpSchedule(probs, defined)
+    return _jump_schedule(
+        (0.5 * (rs + js) for rs, js in zip(rho.slices, flux.slices)),
+        rho.slices)
 
 
 def mimic_quantum_walk(qw_field) -> JumpSchedule:
@@ -163,21 +159,11 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
     real Hadamard field this reduces to [psi+ + psi-]^2 / (2 rho).  Works on
     both real and complex wave fields.
     """
-    probs = []
-    defined = []
-    for t in range(qw_field.horizon):
-        wp = np.abs(qw_field.plus_slices[t]) ** 2
-        wm = np.abs(qw_field.minus_slices[t]) ** 2
-        rs = wp + wm
-        wp_next = np.abs(qw_field.plus_slices[t + 1]) ** 2
-        p = np.full(t + 1, math.nan)
-        mask = rs > 0.0
-        for k in np.flatnonzero(mask):
-            n = from_storage_index(k, t)
-            p[k] = _jump_from_ratio(wp_next[k + 1], rs[k], n, t)
-        probs.append(p)
-        defined.append(mask)
-    return JumpSchedule(probs, defined)
+    plus = qw_field.plus_slices
+    minus = qw_field.minus_slices
+    rhos = (np.abs(wp) ** 2 + np.abs(wm) ** 2
+            for wp, wm in zip(plus[:-1], minus[:-1]))
+    return _jump_schedule((np.abs(wp[1:]) ** 2 for wp in plus[1:]), rhos)
 
 
 def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:
@@ -190,8 +176,6 @@ def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:
     plus = [np.abs(s).astype(float) for s in qw_field.plus_slices]
     minus = [np.abs(s).astype(float) for s in qw_field.minus_slices]
     real_field = WaveField(plus, minus)
-    from .lattice import probability_from_wavefield
-
     rho = probability_from_wavefield(real_field)
     coins = synthesize_coins(rho, real_field)
     return real_field, coins

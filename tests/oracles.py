@@ -1,0 +1,291 @@
+"""Per-site reference implementations of the inverse-design path.
+
+These are the scalar loops the library replaced with whole-slice numpy
+expressions.  They are kept only as test oracles: the property tests
+compare the library against them, so every change in rounding or in which
+site an error names shows up as a test failure.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from walkforge.feasibility import (
+    DEFAULT_TOL,
+    PASS_AGREEMENT,
+    FeasibilityReport,
+    Violation,
+)
+from walkforge.lattice import (
+    NEG_CLAMP,
+    CoinSchedule,
+    FluxField,
+    InfeasibleTargetError,
+    IntegrityError,
+    JumpSchedule,
+    ProbabilitySequence,
+    WaveField,
+    from_storage_index,
+)
+from walkforge.synthesis import COIN_NORM_TOL, EDGE_CLAMP
+
+
+def prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Neumaier running prefix sums; out[k] = sum(values[:k + 1])."""
+    out = np.empty(len(values))
+    s = 0.0
+    c = 0.0
+    for i, x in enumerate(values):
+        x = float(x)
+        tmp = s + x
+        if abs(s) >= abs(x):
+            c += (s - tmp) + x
+        else:
+            c += (x - tmp) + s
+        s = tmp
+        out[i] = s + c
+    return out
+
+
+def suffix_sums(values: np.ndarray) -> np.ndarray:
+    """Neumaier running suffix sums with sentinel: out[k] = sum(values[k:]),
+    out[len(values)] = 0."""
+    m = len(values)
+    out = np.empty(m + 1)
+    out[m] = 0.0
+    s = 0.0
+    c = 0.0
+    for i in range(m - 1, -1, -1):
+        x = float(values[i])
+        tmp = s + x
+        if abs(s) >= abs(x):
+            c += (s - tmp) + x
+        else:
+            c += (x - tmp) + s
+        s = tmp
+        out[i] = s + c
+    return out
+
+
+
+def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
+    """Reconstruct J(n, t) for t = 0..T-1 from the conservation recursion.
+
+    Left-to-right: J(-t, t) = rho(-t, t) - 2 rho(-t-1, t+1), then
+    J(n+2, t) = J(n, t) + rho(n, t) + rho(n+2, t) - 2 rho(n+1, t+1).
+
+    Raises
+    ------
+    IntegrityError
+        If the redundant right-to-left pass disagrees beyond 1e-10, which
+        signals a non-conserving input.
+    """
+    slices = []
+    for t in range(rho.horizon):
+        cur = rho.slices[t]
+        nxt = rho.slices[t + 1]
+        ltr = np.empty(t + 1)
+        ltr[0] = cur[0] - 2.0 * nxt[0]
+        for k in range(t):
+            ltr[k + 1] = ltr[k] + cur[k] + cur[k + 1] - 2.0 * nxt[k + 1]
+        rtl = np.empty(t + 1)
+        rtl[t] = 2.0 * nxt[t + 1] - cur[t]
+        for k in range(t - 1, -1, -1):
+            rtl[k] = rtl[k + 1] - cur[k] - cur[k + 1] + 2.0 * nxt[k + 1]
+        gap = float(np.max(np.abs(ltr - rtl))) if t else abs(ltr[0] - rtl[0])
+        if gap > PASS_AGREEMENT:
+            raise IntegrityError(
+                f"flux recursions disagree by {gap:.3e} at t={t}; "
+                "input sequence does not conserve probability")
+        # Each pass accumulates rounding noise proportional to the mass it
+        # has swept over, so take every value from the pass anchored at the
+        # nearer cone edge; this preserves the relative accuracy of fluxes
+        # through low-probability tails.
+        mass = np.cumsum(cur)
+        slices.append(np.where(mass <= 0.5, ltr, rtl))
+    return FluxField(slices)
+
+
+
+def validate_sequence(rho: ProbabilitySequence,
+                      tol: float = DEFAULT_TOL) -> FeasibilityReport:
+    """Check the flux bound |J| <= rho + tol at every on-support site.
+
+    Infeasibility is a report outcome, not an error.  The tolerance is
+    additive because rho can be exactly zero at interior sites.
+    """
+    flux = flux_from_rho(rho)
+    violations = []
+    boundary = []
+    undefined = []
+    for t in range(flux.steps):
+        js = flux.slices[t]
+        rs = rho.slices[t]
+        for k in range(t + 1):
+            n = from_storage_index(k, t)
+            j = float(js[k])
+            r = float(rs[k])
+            if r == 0.0:
+                if abs(j) > tol:
+                    violations.append(Violation(n, t, j, r))
+                else:
+                    undefined.append((n, t))
+                continue
+            if abs(j) > r + tol:
+                violations.append(Violation(n, t, j, r))
+            elif abs(abs(j) - r) <= tol:
+                boundary.append((n, t))
+    return FeasibilityReport(
+        feasible=not violations,
+        violations=tuple(violations),
+        boundary_sites=tuple(boundary),
+        undefined_sites=tuple(undefined),
+    )
+
+
+
+def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
+    """Recover the non-negative real components psi+-(n, t) realising rho.
+
+    At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
+    coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
+    convention.  Squared amplitudes below -1e-12 raise
+    :class:`InfeasibleTargetError` (the validator should pre-empt this).
+    """
+    plus = [np.array([1.0])]
+    minus = [np.array([0.0])]
+    for t in range(1, rho.horizon + 1):
+        cur = rho.slices[t]
+        prev = rho.slices[t - 1]
+        suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
+        suf_p = suffix_sums(prev)
+        pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
+        pre_p = prefix_sums(prev)
+        wp2 = np.empty(t + 1)
+        wm2 = np.empty(t + 1)
+        for k in range(t + 1):
+            # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
+            if suf_c[k] <= 0.5:
+                wp2[k] = suf_c[k] - suf_p[k]
+            else:
+                left_p = pre_p[k - 1] if k >= 1 else 0.0
+                left_c = pre_c[k - 1] if k >= 1 else 0.0
+                wp2[k] = left_p - left_c
+            # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
+            if pre_c[k] <= 0.5:
+                left_p = pre_p[k - 1] if k >= 1 else 0.0
+                wm2[k] = pre_c[k] - left_p
+            else:
+                wm2[k] = suf_p[k] - suf_c[k + 1]
+        for arr in (wp2, wm2):
+            bad = arr < -NEG_CLAMP
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InfeasibleTargetError(
+                    f"squared amplitude {arr[k]:.3e} at "
+                    f"(n={from_storage_index(k, t)}, t={t}); target is not "
+                    "realisable by a nearest-neighbor walk",
+                    n=from_storage_index(k, t), t=t)
+            np.clip(arr, 0.0, None, out=arr)
+        plus.append(np.sqrt(wp2))
+        minus.append(np.sqrt(wm2))
+    return WaveField(plus, minus)
+
+
+
+def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
+    """Coin angles theta(n, t) that evolve w from slice t to t + 1.
+
+    cos theta = [psi+(n,t) psi+(n+1,t+1) - psi-(n,t) psi-(n-1,t+1)] / rho,
+    sin theta = [psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1)] / rho,
+    wherever rho(n, t) > 0; theta is recovered with the two-argument
+    arctangent and clamped to [0, pi].  Sites with rho = 0 are undefined.
+    """
+    if w.horizon != rho.horizon:
+        raise IntegrityError("wave field and target have different horizons")
+    angles = []
+    defined = []
+    for t in range(rho.horizon):
+        rs = rho.slices[t]
+        wp = w.plus_slices[t]
+        wm = w.minus_slices[t]
+        wp_next = w.plus_slices[t + 1]
+        wm_next = w.minus_slices[t + 1]
+        theta = np.full(t + 1, math.nan)
+        mask = rs > 0.0
+        for k in np.flatnonzero(mask):
+            r = rs[k]
+            c = (wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]) / r
+            s = (wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]) / r
+            norm = c * c + s * s
+            if abs(norm - 1.0) > COIN_NORM_TOL:
+                raise IntegrityError(
+                    f"coin at (n={from_storage_index(k, t)}, t={t}) has "
+                    f"cos^2 + sin^2 = {norm!r}; wave field inconsistent with "
+                    "target")
+            if -EDGE_CLAMP <= s < 0.0:
+                s = 0.0
+            th = math.atan2(s, c)
+            theta[k] = min(max(th, 0.0), math.pi)
+        angles.append(theta)
+        defined.append(mask)
+    return CoinSchedule(angles, defined)
+
+
+
+def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
+    p = num / rho
+    if p < -EDGE_CLAMP or p > 1.0 + EDGE_CLAMP:
+        raise InfeasibleTargetError(
+            f"jump probability {p!r} at (n={n}, t={t}) outside [0, 1]",
+            n=n, t=t)
+    return min(max(p, 0.0), 1.0)
+
+
+def synthesize_jumps(rho: ProbabilitySequence,
+                     flux: FluxField | None = None) -> JumpSchedule:
+    """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0."""
+    if flux is None:
+        flux = flux_from_rho(rho)
+    if flux.steps != rho.horizon:
+        raise IntegrityError("flux field and target have different horizons")
+    probs = []
+    defined = []
+    for t in range(rho.horizon):
+        rs = rho.slices[t]
+        js = flux.slices[t]
+        p = np.full(t + 1, math.nan)
+        mask = rs > 0.0
+        for k in np.flatnonzero(mask):
+            n = from_storage_index(k, t)
+            p[k] = _jump_from_ratio(0.5 * (rs[k] + js[k]), rs[k], n, t)
+        probs.append(p)
+        defined.append(mask)
+    return JumpSchedule(probs, defined)
+
+
+
+def mimic_quantum_walk(qw_field) -> JumpSchedule:
+    """Jump schedule reproducing the position statistics of a quantum walk.
+
+    p(n, t) = |psi+(n+1, t+1)|^2 / rho(n, t) wherever rho(n, t) > 0; for a
+    real Hadamard field this reduces to [psi+ + psi-]^2 / (2 rho).  Works on
+    both real and complex wave fields.
+    """
+    probs = []
+    defined = []
+    for t in range(qw_field.horizon):
+        wp = np.abs(qw_field.plus_slices[t]) ** 2
+        wm = np.abs(qw_field.minus_slices[t]) ** 2
+        rs = wp + wm
+        wp_next = np.abs(qw_field.plus_slices[t + 1]) ** 2
+        p = np.full(t + 1, math.nan)
+        mask = rs > 0.0
+        for k in np.flatnonzero(mask):
+            n = from_storage_index(k, t)
+            p[k] = _jump_from_ratio(wp_next[k + 1], rs[k], n, t)
+        probs.append(p)
+        defined.append(mask)
+    return JumpSchedule(probs, defined)

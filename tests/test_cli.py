@@ -131,6 +131,30 @@ def test_hadamard_routes_agree(capsys):
         assert np.allclose(sa, sb, atol=1e-12)
 
 
+@pytest.mark.parametrize("route", ["--recursion", "--closed-form",
+                                   "--asymptotic"])
+def test_hadamard_requires_horizon(capsys, route):
+    code, out, err = run(capsys, "hadamard", "--theta", "0.7", route)
+    assert code == 2
+    assert out == ""
+    assert "--horizon" in json.loads(err)["error"]
+
+
+def test_evolve_walk_must_match_schedule(capsys, tmp_path):
+    sched_path = tmp_path / "coins.json"
+    run(capsys, "synth", "--target", "uniform", "-T", "4",
+        "--walk", "qw", "--out", str(sched_path))
+    code, out, err = run(capsys, "evolve", "--walk", "rw",
+                         "--schedule", str(sched_path))
+    assert code == 2
+    assert out == ""
+    assert "does not match" in json.loads(err)["error"]
+    code, out, _ = run(capsys, "evolve", "--walk", "qw",
+                       "--schedule", str(sched_path))
+    assert code == 0
+    assert json.loads(out)["horizon"] == 4
+
+
 def test_hadamard_asymptotic_route(capsys):
     code, out, _ = run(capsys, "hadamard", "--theta", repr(math.pi / 4),
                        "--eta", repr(3 * math.pi / 8), "-T", "50",

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walkforge.lattice import (
+    CoinSchedule,
+    ComplexWaveField,
     FormatError,
     InfeasibleTargetError,
     IntegrityError,
+    JumpSchedule,
     ProbabilitySequence,
     SupportError,
+    WalkError,
     WaveField,
     from_storage_index,
     probability_from_wavefield,
@@ -76,6 +80,45 @@ def test_probability_sequence_clamps_cancellation_noise():
 def test_probability_sequence_rejects_real_negatives():
     with pytest.raises(InfeasibleTargetError, match=r"n=1, t=1"):
         ProbabilitySequence([[1.0], [1.001, -1e-3]])
+
+
+def test_nan_target_is_rejected_naming_its_site():
+    # A NaN slips past every |x - 1| > tol test: before this check the
+    # sequence was accepted, and validate_sequence called it feasible.
+    with pytest.raises(FormatError, match=r"non-finite value nan .*n=-1, t=1"):
+        ProbabilitySequence([[1.0], [math.nan, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_wave_fields_and_coins_reject_non_finite_values(bad):
+    with pytest.raises(FormatError, match="non-finite"):
+        WaveField([[1.0], [0.0, bad]], [[0.0], [1.0, 0.0]])
+    with pytest.raises(FormatError, match="non-finite"):
+        ComplexWaveField([[1.0], [0.0, complex(0.0, bad)]], [[0.0], [1.0, 0.0]])
+    with pytest.raises(FormatError, match="outside"):
+        CoinSchedule([[bad]], [[True]])
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.integers(1, 8), st.data())
+def test_non_finite_entry_anywhere_is_rejected(horizon, data):
+    t = data.draw(st.integers(0, horizon))
+    k = data.draw(st.integers(0, t))
+    bad = data.draw(NON_FINITE)
+    slices = [np.full(s + 1, 1.0 / (s + 1)) for s in range(horizon + 1)]
+    slices[t][k] = bad
+    with pytest.raises(WalkError):
+        ProbabilitySequence(slices)
+    defined = [np.ones(s + 1, dtype=bool) for s in range(horizon + 1)]
+    with pytest.raises(FormatError):
+        JumpSchedule(slices, defined)
+
+
+def test_schedule_nan_marks_undefined_sites_only():
+    sched = CoinSchedule([[math.nan], [0.5, math.nan]])
+    assert [d.tolist() for d in sched.defined_slices] == [[False], [True, False]]
 
 
 def test_probability_sequence_immutable():

@@ -1,0 +1,141 @@
+"""The vectorized inverse-design path against the per-site reference loops.
+
+Flux, wave field and jump probabilities repeat the reference arithmetic
+step for step, so they must agree bit for bit.  Coin angles come from
+``np.arctan2`` instead of ``math.atan2``, which may round differently in
+the last place: they must agree to 1e-15, about two units in the last
+place of pi.  Errors must match in type, message and named site.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from walkforge import feasibility, lattice, synthesis
+from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
+from walkforge.lattice import ProbabilitySequence, WalkError
+
+THETA_TOL = 1e-15
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type, message and site of its error."""
+    try:
+        return fn(*args)
+    except WalkError as exc:
+        return type(exc), str(exc), getattr(exc, "n", None), getattr(exc, "t", None)
+
+
+def assert_slices_equal(a, b, tol=0.0):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(np.isnan(x), np.isnan(y))
+        assert np.allclose(x, y, rtol=0.0, atol=tol, equal_nan=True) if tol \
+            else np.array_equal(x, y, equal_nan=True)
+
+
+def assert_same(a, b, tol=0.0):
+    """Same error, or containers whose slices agree to ``tol``."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        assert a == b
+    elif isinstance(a, lattice._Schedule):
+        assert type(a) is type(b)
+        assert_slices_equal(a.defined_slices, b.defined_slices)
+        assert_slices_equal(a.value_slices, b.value_slices, tol)
+    elif isinstance(a, lattice._WaveBase):
+        assert_slices_equal(a.plus_slices, b.plus_slices, tol)
+        assert_slices_equal(a.minus_slices, b.minus_slices, tol)
+    else:
+        assert_slices_equal(a.slices, b.slices, tol)
+
+
+def check_against_oracles(rho):
+    assert_same(outcome(feasibility.flux_from_rho, rho),
+                outcome(oracles.flux_from_rho, rho))
+    report = outcome(feasibility.validate_sequence, rho)
+    assert report == outcome(oracles.validate_sequence, rho)
+    assert_same(outcome(synthesis.synthesize_jumps, rho),
+                outcome(oracles.synthesize_jumps, rho))
+    field = outcome(synthesis.reconstruct_wavefield, rho)
+    assert_same(field, outcome(oracles.reconstruct_wavefield, rho))
+    if not isinstance(field, tuple):
+        assert_same(outcome(synthesis.synthesize_coins, rho, field),
+                    outcome(oracles.synthesize_coins, rho, field), THETA_TOL)
+        assert_same(outcome(synthesis.mimic_quantum_walk, field),
+                    outcome(oracles.mimic_quantum_walk, field))
+    return report
+
+
+def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
+    """Master-equation target of random jump probabilities; with p_edge > 0
+    some probabilities are exactly 0 or 1, which empties sites and
+    saturates the flux bound."""
+    slices = [np.array([1.0])]
+    for t in range(horizon):
+        p = rng.uniform(lo, hi, t + 1)
+        edge = rng.random(t + 1) < p_edge
+        p[edge] = rng.integers(0, 2, int(edge.sum()))
+        nxt = np.zeros(t + 2)
+        nxt[1:] += p * slices[-1]
+        nxt[:-1] += (1.0 - p) * slices[-1]
+        slices.append(nxt)
+    return ProbabilitySequence(slices)
+
+
+def random_coin_target(rng, horizon):
+    """Position distribution of a real walk under random coin angles."""
+    plus, minus = np.array([1.0]), np.array([0.0])
+    slices = [plus**2 + minus**2]
+    for t in range(horizon):
+        th = rng.uniform(0.0, math.pi, t + 1)
+        new_p, new_m = np.zeros(t + 2), np.zeros(t + 2)
+        new_p[1:] = np.cos(th) * plus + np.sin(th) * minus
+        new_m[:-1] = np.sin(th) * plus - np.cos(th) * minus
+        plus, minus = new_p, new_m
+        slices.append(plus**2 + minus**2)
+    return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
+
+
+def random_slices_target(rng, horizon):
+    """Independent random slices: conserving in total mass, and almost
+    always infeasible."""
+    return ProbabilitySequence([rng.dirichlet(np.ones(t + 1))
+                                for t in range(horizon + 1)])
+
+
+@given(st.sampled_from([random_jump_target, random_coin_target,
+                        random_slices_target]),
+       st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_small_targets_match_oracles(family, horizon, seed, edges):
+    rng = np.random.default_rng(seed)
+    if family is random_jump_target:
+        rho = family(rng, horizon, p_edge=0.3 if edges else 0.0)
+    else:
+        rho = family(rng, horizon)
+    check_against_oracles(rho)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_jump_family_matches_oracles_at_T300(seed):
+    report = check_against_oracles(
+        random_jump_target(np.random.default_rng(seed), 300))
+    assert report.feasible
+
+
+def test_complex_walk_mimicry_matches_oracle():
+    params = HomogeneousCoinParams(theta=0.7, eta=0.4, gamma=1.1, alpha=0.3)
+    field = evolve_qw_complex(params, 60)
+    assert_same(synthesis.mimic_quantum_walk(field),
+                oracles.mimic_quantum_walk(field))
+
+
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_compensated_sums_equal_neumaier_scans(values):
+    arr = np.array(values, dtype=float)
+    assert np.array_equal(lattice.prefix_sums(arr), oracles.prefix_sums(arr))
+    assert np.array_equal(lattice.suffix_sums(arr), oracles.suffix_sums(arr))

@@ -93,6 +93,21 @@ def test_uniform_round_trip():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("walk", ["qw", "rw"])
+def test_uniform_round_trip_at_T2000(walk):
+    # The README's 1e-10 round-trip bound, at a horizon where rounding in
+    # the partial sums and the flux recursion has had 2000 slices to grow.
+    rho = uniform_target(2000)
+    if walk == "qw":
+        coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+        back = probability_from_wavefield(evolve_qw(coins))
+    else:
+        back = evolve_rw_exact(synthesize_jumps(rho))
+    worst = max(float(np.max(np.abs(b - r)))
+                for b, r in zip(back.slices, rho.slices))
+    assert worst < 1e-10
+
+
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.71])
 def test_binomial_round_trip(p):
     rho = binomial_target(p, 50)
