@@ -132,10 +132,12 @@ def cmd_evolve(args) -> int:
                         f"which holds a {kind} schedule")
     steps = args.horizon if args.horizon is not None else schedule.steps
     if kind == "qw":
-        init = tuple(float(x) for x in args.init.split(","))
-        if len(init) != 2:
-            raise WalkError("--init takes two comma-separated amplitudes")
-        norm = init[0] ** 2 + init[1] ** 2
+        try:
+            a, b = init = tuple(map(float, args.init.split(",")))
+        except ValueError:
+            raise WalkError("--init takes two comma-separated amplitudes, "
+                            f"got {args.init!r}") from None
+        norm = a ** 2 + b ** 2
         if abs(norm - 1.0) > 1e-9:
             raise WalkError(f"initial state norm {norm!r} != 1")
         rho = probability_from_wavefield(evolve_qw(schedule, init, steps))
@@ -148,6 +150,9 @@ def cmd_evolve(args) -> int:
 def cmd_mc(args) -> int:
     _require(args, "schedule")
     schedule = io.read_schedule_json(args.schedule)
+    if isinstance(schedule, CoinSchedule):
+        raise WalkError(f"{args.schedule} holds a qw schedule; Monte Carlo "
+                        "samples rw (jump) schedules only")
     steps = args.horizon if args.horizon is not None else schedule.steps
     cfg = McConfig(trajectories=args.trajectories, seed=args.seed,
                    horizon=steps)
@@ -157,8 +162,8 @@ def cmd_mc(args) -> int:
         doc = {
             "schema_version": io.SCHEMA_VERSION,
             "horizon": steps,
-            "rho": [[float(v) for v in s] for s in rho_hat.slices],
-            "stderr": [[float(v) for v in s] for s in stderr.slices],
+            "rho": [s.tolist() for s in rho_hat.slices],
+            "stderr": [s.tolist() for s in stderr.slices],
         }
         _print_json(doc)
     else:
@@ -350,15 +355,30 @@ def _load_config(path: str) -> dict[str, str]:
     return pairs
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _explicit_flags(argv) -> set[str]:
+    """The dests that argv sets itself, in whatever spelling (``-T3``,
+    ``--horizon=3``, ...): a second parse in which nothing has a default."""
+    parser = build_parser()
+    for sub in _subparsers(parser).values():
+        sub._defaults.clear()
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config(args, argv, parser) -> None:
     config = _load_config(args.config)
-    sub_actions = next(a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_actions.choices[args.command]
+    subparser = _subparsers(parser)[args.command]
+    explicit = _explicit_flags(argv)
     for action in subparser._actions:
         if action.dest in ("help", "config") or action.dest not in config:
             continue
-        if any(opt in argv for opt in action.option_strings):
+        if action.dest in explicit:
             continue  # explicit flag wins
         raw = config[action.dest]
         value = action.type(raw) if action.type else raw
@@ -379,7 +399,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, argv, parser)
         return args.func(args)
-    except WalkError as exc:
+    except (WalkError, OSError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_INPUT

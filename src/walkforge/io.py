@@ -1,42 +1,37 @@
 """CSV and JSON serialization of fields and schedules.
 
 Single-valued fields use the line-oriented CSV form ``t,n,value`` (one row
-per on-support point) and the structured JSON form
-``{"horizon": T, "slices": [[...], ...]}``.  Wave fields serialize to JSON
-only, with one slice table per chiral component (complex entries become
-``[re, im]`` pairs).  Schedules serialize to JSON with explicit ``null`` for
-undefined sites.
+per on-support point).  Fields and schedules share one JSON form, the slice
+table ``{"schema_version": 2, "horizon": ..., "slices": [[...], ...]}``:
+a field has slices t = 0..T, a schedule (which also names its ``kind``,
+coin or jump) has slices t = 0..S-1 with ``null`` at undefined sites.
 
-Readers reject parity and cone violations, duplicated rows, and slices of
-the wrong length; on-support points missing from a CSV file are taken to be
-zero.
+Readers reject parity and cone violations, duplicated rows, slices of the
+wrong length and table entries that are not JSON numbers; on-support points
+missing from a CSV file are taken to be zero.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from contextlib import nullcontext
-from itertools import compress, repeat
-from operator import is_not, itemgetter, methodcaller
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
 from .lattice import (
     CoinSchedule,
-    ComplexWaveField,
-    FluxField,
     FormatError,
     JumpSchedule,
     ProbabilitySequence,
     ScalarField,
-    WaveField,
     to_storage_index,
     SupportError,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _open_write(path):
@@ -74,7 +69,7 @@ def _csv_columns(rows):
                                  (2, float, float)))
 
 
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_PARSE_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 def _parse_prefix(items, columns):
@@ -95,30 +90,25 @@ def _parse_prefix(items, columns):
         raise
 
 
-def _check_sites(t, n, where, duplicate: str, steps=None) -> np.ndarray:
+def _check_sites(t, n, lineno) -> np.ndarray:
     """Flat slice-order index t(t+1)/2 + k of each site (t, n).
 
-    Raises :class:`FormatError` for the first site that is off-support,
-    outside ``0 <= t < steps`` (when given) or a repeat of an earlier site;
-    ``where(i)`` prefixes the message for site i.
+    Raises :class:`FormatError` for the first site that is off-support or a
+    repeat of an earlier site, naming its row ``lineno[i]``.
     """
     flat = t * (t + 1) // 2 + (n + t) // 2
     repeated = np.ones(len(flat), dtype=bool)
     repeated[np.unique(flat, return_index=True)[1]] = False
     bad = (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
-    if steps is not None:
-        bad |= t >= steps
     if bad.any():
         i = int(np.argmax(bad))
         ti, ni = int(t[i]), int(n[i])
-        if steps is not None and not 0 <= ti < steps:
-            raise FormatError(
-                f"{where(i)}entry at t={ti} outside horizon {steps}")
         try:
             to_storage_index(ni, ti)
         except SupportError as exc:
-            raise FormatError(f"{where(i)}{exc}") from None
-        raise FormatError(f"{where(i)}{duplicate} for (n={ni}, t={ti})")
+            raise FormatError(f"row {lineno[i]}: {exc}") from None
+        raise FormatError(f"row {lineno[i]}: duplicate entry for "
+                          f"(n={ni}, t={ti})")
     return flat
 
 
@@ -143,7 +133,7 @@ def _read_csv_slices(path):
     if not rows:
         raise FormatError(f"{path}: no data rows")
     (t, n, vals), m, exc = _parse_prefix(rows, _csv_columns)
-    flat = _check_sites(t, n, lambda i: f"row {lineno[i]}: ", "duplicate entry")
+    flat = _check_sites(t, n, lineno)
     if exc is not None:
         raise FormatError(f"row {lineno[m]}: {exc}")
     horizon = int(t.max())
@@ -160,25 +150,26 @@ def read_probability_csv(path) -> ProbabilitySequence:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _write_json(path, head: dict, key: str, runs) -> None:
-    """Write ``{**head, key: [...]}`` byte for byte as ``json.dump`` would,
-    plus a newline; ``runs`` yields the list's elements as JSON text, several
-    to a run, joined by ", ".
+def _write_json(path, head: dict, slices) -> None:
+    """Write ``{"schema_version": 2, **head, "slices": [...]}`` byte for byte
+    as ``json.dump`` would, plus a newline, with NaN written as ``null``.
 
-    Callers encode each run with ``json.dumps``, which uses the C encoder
+    Each slice is encoded with ``json.dumps``, which uses the C encoder
     (``json.dump`` never does); the document is never one string in memory.
+    Stored values other than a schedule's undefined sites are finite, so
+    every ``NaN`` token is one of those.
     """
     with _open_write(path) as fh:
-        fh.write(json.dumps({**head, key: []})[:-2])
-        for i, text in enumerate(runs):
-            fh.write(", " + text if i else text)
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **head,
+                             "slices": []})[:-2])
+        for t, s in enumerate(slices):
+            text = json.dumps(s.tolist()).replace("NaN", "null")
+            fh.write(", " + text if t else text)
         fh.write("]}\n")
 
 
 def write_field_json(field, path) -> None:
-    _write_json(path, {"schema_version": SCHEMA_VERSION,
-                       "horizon": len(field.slices) - 1},
-                "slices", (json.dumps(s.tolist()) for s in field.slices))
+    _write_json(path, {"horizon": len(field.slices) - 1}, field.slices)
 
 
 def _reject_constant(name):
@@ -193,20 +184,36 @@ def _load_json(path):
             raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _json_slices(doc, path):
+def _json_slices(doc, path, *, schedule=False):
+    """The slices of a slice-table document as float arrays.
+
+    A field has horizon + 1 slices of JSON numbers; a schedule has horizon
+    slices, in which ``null`` marks an undefined site and is read as NaN.
+    """
     try:
         horizon = int(doc["horizon"])
         slices = doc["slices"]
+        if not all(isinstance(s, list) for s in slices):
+            raise TypeError("slices is not a list of lists")
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or malformed field document: {exc}") from None
-    if len(slices) != horizon + 1:
+        raise FormatError(
+            f"{path}: missing or malformed slice table: {exc}") from None
+    if len(slices) != (horizon if schedule else horizon + 1):
         raise FormatError(
             f"{path}: horizon {horizon} but {len(slices)} slices present")
+    allowed = {int, float, type(None)} if schedule else {int, float}
     for t, s in enumerate(slices):
         if len(s) != t + 1:
             raise FormatError(
                 f"{path}: slice t={t} has {len(s)} entries, expected {t + 1}")
-    return slices
+        if not allowed.issuperset(map(type, s)):
+            k = next(k for k, v in enumerate(s) if type(v) not in allowed)
+            raise FormatError(f"{path}: {s[k]!r} at (n={2 * k - t}, t={t}) "
+                              f"is not a number")
+    try:
+        return [np.array(s, dtype=float) for s in slices]
+    except OverflowError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_probability_json(path) -> ProbabilitySequence:
@@ -217,108 +224,26 @@ def read_probability_json(path) -> ProbabilitySequence:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def write_flux_json(flux: FluxField, path) -> None:
-    _write_json(path, {"schema_version": SCHEMA_VERSION, "horizon": flux.steps},
-                "slices", (json.dumps(s.tolist()) for s in flux.slices))
-
-
-def _wave_payload(w):
-    if isinstance(w, ComplexWaveField):
-        conv = lambda v: [v.real, v.imag]
-        kind = "complex"
-    else:
-        conv = float
-        kind = "real"
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": w.horizon,
-        "kind": kind,
-        "plus": [[conv(v) for v in s] for s in w.plus_slices],
-        "minus": [[conv(v) for v in s] for s in w.minus_slices],
-    }
-
-
-def write_wavefield_json(w, path) -> None:
-    with _open_write(path) as fh:
-        json.dump(_wave_payload(w), fh)
-        fh.write("\n")
-
-
-def read_wavefield_json(path):
-    doc = _load_json(path)
-    kind = doc.get("kind", "real")
-    if kind == "complex":
-        conv = lambda v: complex(v[0], v[1])
-        cls = ComplexWaveField
-    else:
-        conv = float
-        cls = WaveField
-    plus = [[conv(v) for v in s] for s in doc["plus"]]
-    minus = [[conv(v) for v in s] for s in doc["minus"]]
-    return cls(plus, minus)
-
-
-def _schedule_entries(t: int, values: np.ndarray) -> str:
-    """The v1 entries of schedule slice t as JSON text, in site order.
-
-    Undefined sites hold NaN, which json.dumps spells ``NaN``; defined
-    values are finite, so every ``NaN`` token becomes ``null``.
-    """
-    vals = json.dumps(values.tolist()).replace("NaN", "null")[1:-1]
-    entry = '{"t": %d, "n": %%d, "value": %%s}' % t
-    return ", ".join(map(entry.__mod__,
-                         zip(range(-t, t + 1, 2), vals.split(", "))))
-
-
 def write_schedule_json(schedule, path) -> None:
     kind = "coin" if isinstance(schedule, CoinSchedule) else "jump"
-    _write_json(path, {"schema_version": SCHEMA_VERSION,
-                       "horizon": schedule.steps, "kind": kind},
-                "entries", (_schedule_entries(t, v) for t, v
-                            in enumerate(schedule.value_slices)))
-
-
-def _entry_columns(entries):
-    """The int64 t and n columns of v1 schedule entries."""
-    return tuple(
-        np.fromiter(map(int, map(itemgetter(key), entries)), np.int64,
-                    len(entries))
-        for key in ("t", "n"))
+    _write_json(path, {"horizon": schedule.steps, "kind": kind},
+                schedule.value_slices)
 
 
 def read_schedule_json(path):
     doc = _load_json(path)
-    try:
-        steps = int(doc["horizon"])
-        kind = doc["kind"]
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed schedule document: {exc}") from None
+    if isinstance(doc, dict) and "entries" in doc:
+        raise FormatError(
+            f"{path}: v1 schedule (one entry per site) is no longer read; "
+            "re-run walkforge synth to write it as a schema 2 slice table")
+    values = _json_slices(doc, path, schedule=True)
+    kind = doc.get("kind")
     if kind not in ("coin", "jump"):
         raise FormatError(f"{path}: unknown schedule kind {kind!r}")
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: malformed schedule document: entries "
-                          "is not a list")
-    (t, n), m, exc = _parse_prefix(entries, _entry_columns)
-    flat = _check_sites(t, n, lambda i: f"{path}: ",
-                        "duplicate schedule entry", steps)
-    if exc is not None:
-        raise FormatError(f"{path}: malformed schedule entry {entries[m]!r}")
-    given = list(map(methodcaller("get", "value"), entries))
-    present = np.fromiter(map(is_not, given, repeat(None)), bool, m)
     try:
-        vals = np.fromiter(map(float, compress(given, present)), float,
-                           int(present.sum()))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed schedule value: {exc}") from None
-    defined = flat[present]
-    size = max(steps, 0) * (steps + 1) // 2
-    values = np.full(size, math.nan)
-    values[defined] = vals
-    mask = np.zeros(size, dtype=bool)
-    mask[defined] = True
-    cls = CoinSchedule if kind == "coin" else JumpSchedule
-    return cls(_unpack(values, steps), _unpack(mask, steps))
+        return (CoinSchedule if kind == "coin" else JumpSchedule)(values)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_mc_csv(rho: ProbabilitySequence, stderr: ScalarField, path) -> None:

@@ -206,3 +206,78 @@ def test_bad_target_spec_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "--target", "gaussian", "-T", "3")
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("flag", [["-T3"], ["-T", "3"], ["--horizon=3"],
+                                  ["--horizon", "3"]],
+                         ids=["-T3", "-T 3", "--horizon=3", "--horizon 3"])
+def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
+    sched_path = tmp_path / "jumps.json"
+    run(capsys, "synth", "--target", "uniform", "-T", "5", "--walk", "rw",
+        "--out", str(sched_path))
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"schedule = {sched_path}\nhorizon = 5\n")
+    code, out, _ = run(capsys, "evolve", "--config", str(cfg), *flag)
+    assert code == 0
+    assert json.loads(out)["horizon"] == 3
+    code, out, _ = run(capsys, "evolve", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["horizon"] == 5
+
+
+# Each subcommand with malformed input: (argv, text the error must contain).
+# "{tmp}" holds coins.json (a qw schedule), v1.json (a schema 1 schedule), a
+# plain file and bogus.cfg; missing* names nothing.
+CONTRACT = [
+    (["validate"], "--target"),
+    (["validate", "--target", "gaussian", "-T", "3"], "gaussian"),
+    (["validate", "--target", "file:{tmp}/missing.csv"], "No such file"),
+    (["validate", "--target", "file:{tmp}/plain"], "no data rows"),
+    (["validate", "--config", "{tmp}/missing.cfg"], "No such file"),
+    (["validate", "--config", "{tmp}/bogus.cfg"], "bogus"),
+    (["synth", "--target", "uniform", "-T", "3"], "--walk"),
+    (["synth", "--target", "uniform", "-T", "3", "--walk", "qw",
+      "--out", "{tmp}/missing/coins.json"], "No such file"),
+    (["evolve"], "--schedule"),
+    (["evolve", "--schedule", "{tmp}/missing.json"], "No such file"),
+    (["evolve", "--schedule", "{tmp}/plain"], "invalid JSON"),
+    (["evolve", "--schedule", "{tmp}/v1.json"], "v1 schedule"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "--init", "a,b"], "--init"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "--init", "1"], "--init"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "--walk", "rw"],
+     "does not match"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "-T", "9"], "covers 3"),
+    (["mc"], "--schedule"),
+    (["mc", "--schedule", "{tmp}/missing.json"], "No such file"),
+    (["mc", "--schedule", "{tmp}/v1.json"], "v1 schedule"),
+    (["mc", "--schedule", "{tmp}/coins.json"], "qw schedule"),
+    (["hadamard", "--theta", "0.7"], "--horizon"),
+    (["hadamard", "-T", "3"], "--theta"),
+    (["roundtrip", "--target", "uniform", "-T", "3"], "--walk"),
+    (["roundtrip", "--target", "file:{tmp}/missing.json", "--walk", "rw"],
+     "No such file"),
+    (["figure"], "--which"),
+    (["figure", "--which", "fig1", "-T", "4", "-N", "10",
+      "--out", "{tmp}/plain"], "File exists"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CONTRACT,
+                         ids=[" ".join(a) for a, _ in CONTRACT])
+def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
+                                                  expected):
+    run(capsys, "synth", "--target", "uniform", "-T", "3", "--walk", "qw",
+        "--out", str(tmp_path / "coins.json"))
+    (tmp_path / "v1.json").write_text(json.dumps({
+        "schema_version": 1, "horizon": 1, "kind": "jump",
+        "entries": [{"t": 0, "n": 0, "value": 0.5}]}))
+    (tmp_path / "plain").write_text("not json\n")
+    (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
+    # main returning at all, rather than raising, means no traceback.
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    doc = json.loads(err)
+    assert list(doc) == ["error"]
+    assert expected in doc["error"]

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from walkforge import io
-from walkforge.feasibility import flux_from_rho
 from walkforge.lattice import (
     CoinSchedule,
-    ComplexWaveField,
     FormatError,
     JumpSchedule,
     ScalarField,
@@ -81,8 +79,8 @@ def test_schedule_round_trip_with_nulls(tmp_path):
     path = tmp_path / "coins.json"
     io.write_schedule_json(sched, path)
     doc = json.loads(path.read_text())
-    assert doc["kind"] == "coin"
-    assert {"t": 1, "n": -1, "value": None} in doc["entries"]
+    assert doc["schema_version"] == 2 and doc["kind"] == "coin"
+    assert doc["slices"] == [[math.pi / 4], [None, 1.0]]
     back = io.read_schedule_json(path)
     assert isinstance(back, CoinSchedule)
     assert not back.is_defined(-1, 1)
@@ -97,23 +95,26 @@ def test_jump_schedule_kind_dispatch(tmp_path):
 
 
 def test_schedule_reader_rejects_off_support_entry(tmp_path):
+    # A slice table has no off-support cells: an extra value makes a slice
+    # too long, and a schedule holds one slice per step, not horizon + 1.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "horizon": 1, "kind": "jump",
-        "entries": [{"t": 0, "n": 1, "value": 0.5}]}))
-    with pytest.raises(FormatError, match="light cone"):
+    path.write_text(json.dumps({"horizon": 1, "kind": "jump",
+                                "slices": [[0.5, 0.5]]}))
+    with pytest.raises(FormatError, match="slice t=0 has 2 entries, expected 1"):
+        io.read_schedule_json(path)
+    path.write_text(json.dumps({"horizon": 1, "kind": "jump",
+                                "slices": [[0.5], [0.5, 0.5]]}))
+    with pytest.raises(FormatError, match="horizon 1 but 2 slices"):
         io.read_schedule_json(path)
 
 
-def test_complex_wavefield_json_round_trip(tmp_path):
-    plus = [np.array([1 / math.sqrt(2)]), np.array([0.0, 0.5 + 0.5j])]
-    minus = [np.array([1j / math.sqrt(2)]), np.array([math.sqrt(0.5), 0.0])]
-    w = ComplexWaveField(plus, minus)
-    path = tmp_path / "field.json"
-    io.write_wavefield_json(w, path)
-    back = io.read_wavefield_json(path)
-    assert isinstance(back, ComplexWaveField)
-    assert back.plus(1, 1) == 0.5 + 0.5j
+def test_schedule_reader_rejects_v1_documents(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "horizon": 1, "kind": "jump",
+        "entries": [{"t": 0, "n": 0, "value": 0.5}]}))
+    with pytest.raises(FormatError, match="v1 schedule.*re-run walkforge synth"):
+        io.read_schedule_json(path)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -123,55 +124,97 @@ def test_json_readers_reject_non_finite_literals(tmp_path, literal):
     path.write_text(f'{{"horizon": 1, "slices": [[1.0], [{literal}, 1.0]]}}')
     with pytest.raises(FormatError, match=literal):
         io.read_probability_json(path)
-    path.write_text('{"horizon": 1, "kind": "jump", "entries": '
-                    f'[{{"t": 0, "n": 0, "value": {literal}}}]}}')
+    path.write_text(
+        f'{{"horizon": 2, "kind": "jump", "slices": [[0.5], [null, {literal}]]}}')
     with pytest.raises(FormatError, match=literal):
         io.read_schedule_json(path)
 
 
 def test_schedule_reader_rejects_nan_at_defined_site(tmp_path):
+    # null is the only spelling of an undefined site; the string "nan" is
+    # not a number.
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "horizon": 1, "kind": "coin",
-        "entries": [{"t": 0, "n": 0, "value": "nan"}]}))
-    with pytest.raises(FormatError, match="outside"):
+    path.write_text(json.dumps({"horizon": 1, "kind": "coin",
+                                "slices": [["nan"]]}))
+    with pytest.raises(FormatError, match=r"'nan' at \(n=0, t=0\) is not a number"):
         io.read_schedule_json(path)
 
 
-def _v1_schedule_doc(schedule):
-    kind = "coin" if isinstance(schedule, CoinSchedule) else "jump"
-    entries = [{"t": t, "n": 2 * k - t,
-                "value": float(v[k]) if d[k] else None}
-               for t, (v, d) in enumerate(zip(schedule.value_slices,
-                                              schedule.defined_slices))
-               for k in range(t + 1)]
-    return {"schema_version": 1, "horizon": schedule.steps, "kind": kind,
-            "entries": entries}
+@pytest.mark.parametrize("value", ["0.5", True, [0.5], {"v": 0.5}])
+@pytest.mark.parametrize("reader, doc", [
+    (io.read_probability_json, {"horizon": 1, "slices": [[1.0], [0.5, None]]}),
+    (io.read_schedule_json,
+     {"horizon": 2, "kind": "jump", "slices": [[0.5], [0.5, None]]}),
+], ids=["field", "schedule"])
+def test_json_readers_accept_numbers_only(tmp_path, reader, doc, value):
+    # json.load turns these into str, bool, list and dict, all of which
+    # np.array(..., dtype=float) would convert or choke on.
+    path = tmp_path / "bad.json"
+    doc["slices"][1][1] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"at \(n=1, t=1\) is not a number"):
+        reader(path)
 
 
-def _v1_field_doc(field, horizon):
-    return {"schema_version": 1, "horizon": horizon,
-            "slices": [[float(v) for v in s] for s in field.slices]}
+@pytest.mark.parametrize("text, message", [
+    ('{"horizon": 1, "slices": [1.0, [0.5, 0.5]]}', "not a list of lists"),
+    ('{"horizon": 0, "slices": [[1%s]]}' % ("0" * 400), "too large"),
+])
+def test_json_reader_rejects_malformed_tables(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        io.read_probability_json(path)
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 7, 60])
-def test_json_writers_are_byte_identical_to_json_dumps(tmp_path, horizon):
+def test_field_reader_rejects_null(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"horizon": 1, "slices": [[1.0], [None, 1.0]]}))
+    with pytest.raises(FormatError, match=r"None at \(n=-1, t=1\)"):
+        io.read_probability_json(path)
+
+
+def _random_schedules(horizon):
+    """A jump and a coin schedule with undefined sites and edge values."""
     rng = np.random.default_rng(horizon)
     values = [rng.uniform(0.0, 1.0, t + 1) for t in range(horizon)]
     for v in values:
         v[rng.random(v.size) < 0.3] = math.nan
         v[rng.random(v.size) < 0.1] = rng.choice([0.0, 1.0, 1e-5, 5e-324])
+    return JumpSchedule(values), CoinSchedule([v * math.pi for v in values])
+
+
+def _slice_table_doc(head, slices):
+    return {"schema_version": 2, **head,
+            "slices": [[None if math.isnan(v) else float(v) for v in s]
+                       for s in slices]}
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 60])
+def test_json_writers_are_byte_identical_to_json_dumps(tmp_path, horizon):
     path = tmp_path / "out.json"
-    for sched in (JumpSchedule(values),
-                  CoinSchedule([v * math.pi for v in values])):
+    for sched, kind in zip(_random_schedules(horizon), ("jump", "coin")):
         io.write_schedule_json(sched, path)
-        assert path.read_text() == json.dumps(_v1_schedule_doc(sched)) + "\n"
+        doc = _slice_table_doc({"horizon": horizon, "kind": kind},
+                               sched.value_slices)
+        assert path.read_text() == json.dumps(doc) + "\n"
     rho = uniform_target(horizon)
     io.write_field_json(rho, path)
-    assert path.read_text() == json.dumps(_v1_field_doc(rho, horizon)) + "\n"
-    flux = flux_from_rho(rho)
-    io.write_flux_json(flux, path)
-    assert path.read_text() == json.dumps(_v1_field_doc(flux, horizon)) + "\n"
+    doc = _slice_table_doc({"horizon": horizon}, rho.slices)
+    assert path.read_text() == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("horizon", [1, 60, 300])
+def test_schedules_round_trip_bit_identically(tmp_path, horizon):
+    path = tmp_path / "out.json"
+    for sched in _random_schedules(horizon):
+        io.write_schedule_json(sched, path)
+        back = io.read_schedule_json(path)
+        assert type(back) is type(sched) and back.steps == horizon
+        for v, b, d, e in zip(sched.value_slices, back.value_slices,
+                              sched.defined_slices, back.defined_slices):
+            assert np.array_equal(d, e)
+            assert np.array_equal(v.view(np.int64), b.view(np.int64))
 
 
 def test_csv_writers_match_csv_module(tmp_path):
@@ -202,14 +245,21 @@ def test_csv_reader_reports_first_faulty_row(tmp_path):
 
 
 def test_schedule_reader_reports_first_faulty_entry(tmp_path):
+    # Slices are checked in order, each for its length and then its values:
+    # the first faulty slice is reported, and its first faulty value.
     path = tmp_path / "bad.json"
-    entries = [{"t": 0, "n": 0, "value": 0.5}, {"t": 1, "n": 1},
-               {"t": 1, "n": 1}, {"t": "x", "n": 0}]
-    path.write_text(json.dumps({"horizon": 2, "kind": "jump",
-                                "entries": entries}))
-    with pytest.raises(FormatError, match=r"duplicate schedule entry for \(n=1, t=1\)"):
+    slices = [[0.5], [None, "x", "y"], [0.5, "z", 0.5]]
+    path.write_text(json.dumps({"horizon": 3, "kind": "jump",
+                                "slices": slices}))
+    with pytest.raises(FormatError, match="slice t=1 has 3 entries"):
         io.read_schedule_json(path)
-    path.write_text(json.dumps({"horizon": 2, "kind": "jump",
-                                "entries": entries[:2] + entries[3:]}))
-    with pytest.raises(FormatError, match="malformed schedule entry"):
+    slices[1].pop()
+    path.write_text(json.dumps({"horizon": 3, "kind": "jump",
+                                "slices": slices}))
+    with pytest.raises(FormatError, match=r"'x' at \(n=1, t=1\)"):
+        io.read_schedule_json(path)
+    slices[1][1] = 0.5
+    path.write_text(json.dumps({"horizon": 3, "kind": "jump",
+                                "slices": slices}))
+    with pytest.raises(FormatError, match=r"'z' at \(n=0, t=2\)"):
         io.read_schedule_json(path)
