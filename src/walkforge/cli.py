@@ -130,7 +130,6 @@ def cmd_evolve(args) -> int:
     if args.walk not in (None, kind):
         raise WalkError(f"--walk {args.walk} does not match {args.schedule}, "
                         f"which holds a {kind} schedule")
-    steps = args.horizon if args.horizon is not None else schedule.steps
     if kind == "qw":
         try:
             a, b = init = tuple(map(float, args.init.split(",")))
@@ -140,9 +139,10 @@ def cmd_evolve(args) -> int:
         norm = a ** 2 + b ** 2
         if abs(norm - 1.0) > 1e-9:
             raise WalkError(f"initial state norm {norm!r} != 1")
-        rho = probability_from_wavefield(evolve_qw(schedule, init, steps))
+        rho = probability_from_wavefield(
+            evolve_qw(schedule, init, args.horizon))
     else:
-        rho = evolve_rw_exact(schedule, steps)
+        rho = evolve_rw_exact(schedule, args.horizon)
     _emit_field(rho, args, "rho")
     return EXIT_OK
 
@@ -255,8 +255,15 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as WalkError, which main reports as JSON."""
+
+    def error(self, message):
+        raise WalkError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkforge",
         description="Inverse design and simulation of discrete-time walks "
                     "on the integer line.")
@@ -394,8 +401,8 @@ def _apply_config(args, argv, parser) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             _apply_config(args, argv, parser)
         return args.func(args)

@@ -83,20 +83,18 @@ class HomogeneousCoinParams:
     def varphi(self) -> float:
         return self.alpha + self.beta - self.gamma
 
-    def coin_matrix(self) -> np.ndarray:
-        c = math.cos(self.theta)
-        s = math.sin(self.theta)
-        u = np.array(
-            [[np.exp(1j * self.alpha) * c, np.exp(-1j * self.beta) * s],
-             [np.exp(1j * self.beta) * s, -np.exp(-1j * self.alpha) * c]],
-        )
-        return np.exp(1j * self.chi) * u
-
     def initial_state(self) -> tuple[complex, complex]:
         return (
             complex(math.cos(self.eta)),
             np.exp(1j * self.gamma) * math.sin(self.eta),
         )
+
+
+def _check_horizon(horizon: int) -> int:
+    """``horizon``, which must be >= 0."""
+    if horizon < 0:
+        raise WalkError(f"horizon must be >= 0, got {horizon}")
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,16 @@ class McConfig:
     def __post_init__(self):
         if self.trajectories < 1:
             raise WalkError("trajectories must be >= 1")
-        if self.horizon < 0:
-            raise WalkError("horizon must be >= 0")
+        _check_horizon(self.horizon)
+
+
+def _schedule_steps(schedule, steps: int | None) -> int:
+    """``steps``, by default all the schedule covers, and never more."""
+    steps = schedule.steps if steps is None else _check_horizon(steps)
+    if steps > schedule.steps:
+        raise CoverageError(
+            f"schedule covers {schedule.steps} steps, {steps} requested")
+    return steps
 
 
 def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
@@ -123,11 +129,7 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     (<= 1e-12), in which case they emit zeros; live amplitude raises
     :class:`CoverageError`.
     """
-    if steps is None:
-        steps = schedule.steps
-    if steps > schedule.steps:
-        raise CoverageError(
-            f"schedule covers {schedule.steps} steps, {steps} requested")
+    steps = _schedule_steps(schedule, steps)
     a, b = float(init[0]), float(init[1])
     plus = [np.array([a])]
     minus = [np.array([b])]
@@ -142,8 +144,9 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
             raise CoverageError(
                 f"coin undefined at live site (n={from_storage_index(k, t)}, "
                 f"t={t})")
-        c = np.where(defined, schedule.cos_slice(t), 0.0)
-        s = np.where(defined, schedule.sin_slice(t), 0.0)
+        th = schedule.value_slices[t]
+        c = np.where(defined, np.cos(th), 0.0)
+        s = np.where(defined, np.sin(th), 0.0)
         new_p = np.zeros(t + 2)
         new_m = np.zeros(t + 2)
         new_p[1:] = c * wp + s * wm
@@ -155,6 +158,7 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
 
 def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWaveField:
     """Step-by-step evolution of the general homogeneous complex walk."""
+    _check_horizon(horizon)
     a, b = params.initial_state()
     plus = [np.array([a], dtype=complex)]
     minus = [np.array([b], dtype=complex)]
@@ -204,6 +208,7 @@ def closed_form_wavefield(params: HomogeneousCoinParams,
     Falls back to the recursion engine when |sin theta| < 1e-9, where the
     kernel's secants blow up while the walk itself is merely ballistic.
     """
+    _check_horizon(horizon)
     if abs(math.sin(params.theta)) < MIN_SIN_THETA:
         return evolve_qw_complex(params, horizon)
     p00, m00 = params.initial_state()
@@ -218,20 +223,22 @@ def closed_form_wavefield(params: HomogeneousCoinParams,
         - np.exp(1j * (params.gamma - alpha)) * math.sin(params.eta) * c)
     plus = []
     minus = []
+    lam = lambda_slice(params.theta, 0, site_positions(0))
     for t in range(horizon + 1):
         ns = site_positions(t)
-        lam = lambda_slice(params.theta, t, ns)
-        lam_left = lambda_slice(params.theta, t + 1, ns - 1)
-        lam_right = lambda_slice(params.theta, t + 1, ns + 1)
+        # Lambda(n -+ 1, t + 1) at the sites n of slice t are the first and
+        # the last t + 1 values of slice t + 1, which is the next lam.
+        nxt = lambda_slice(params.theta, t + 1, site_positions(t + 1))
         wp = np.exp(1j * (chi * t + alpha * ns)) * (
-            p00 * lam + np.exp(-1j * (chi + alpha)) * p11 * lam_left)
+            p00 * lam + np.exp(-1j * (chi + alpha)) * p11 * nxt[:-1])
         # The minus component carries e^{i alpha n}, not e^{-i alpha n}: only
         # this convention reproduces the defining recursion (checked against
         # the step-by-step engine for random parameters).
         wm = np.exp(1j * (chi * t + alpha * ns)) * (
-            m00 * lam + np.exp(-1j * (chi - alpha)) * m11 * lam_right)
+            m00 * lam + np.exp(-1j * (chi - alpha)) * m11 * nxt[1:])
         plus.append(wp)
         minus.append(wm)
+        lam = nxt
     return ComplexWaveField(plus, minus)
 
 
@@ -277,11 +284,7 @@ def evolve_rw_exact(schedule: JumpSchedule,
     :class:`CoverageError`; dead mass below it is split evenly so each slice
     keeps summing to one.
     """
-    if steps is None:
-        steps = schedule.steps
-    if steps > schedule.steps:
-        raise CoverageError(
-            f"schedule covers {schedule.steps} steps, {steps} requested")
+    steps = _schedule_steps(schedule, steps)
     slices = [np.array([1.0])]
     for t in range(steps):
         cur = slices[t]
@@ -323,10 +326,7 @@ def simulate_rw(schedule: JumpSchedule,
     walkers and the per-site standard error sqrt(rho_hat (1 - rho_hat) / N).
     Fully reproducible given (seed, N, horizon).
     """
-    steps = cfg.horizon
-    if steps > schedule.steps:
-        raise CoverageError(
-            f"schedule covers {schedule.steps} steps, {steps} requested")
+    steps = _schedule_steps(schedule, cfg.horizon)
     n_traj = cfg.trajectories
     workers = min(thread_cap(), max(1, n_traj // 1024))
     if workers > 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import FluxField, IntegrityError, ProbabilitySequence
+from .lattice import FluxField, IntegrityError, ProbabilitySequence, slice_sites
 
 DEFAULT_TOL = 1e-10
 
@@ -103,9 +103,7 @@ def validate_sequence(rho: ProbabilitySequence,
     steps = flux.steps
     js = np.concatenate(flux.slices) if steps else np.empty(0)
     rs = np.concatenate(rho.slices[:steps]) if steps else np.empty(0)
-    # (t, n) of every site in slice order: t repeats t + 1 times.
-    ts = np.repeat(np.arange(steps), np.arange(1, steps + 1))
-    ns = 2 * (np.arange(len(ts)) - ts * (ts + 1) // 2) - ts
+    ts, ns = slice_sites(steps)
     aj = np.abs(js)
     zero = rs == 0.0
     violated = np.where(zero, aj > tol, aj > rs + tol)

@@ -27,8 +27,11 @@ from .lattice import (
     JumpSchedule,
     ProbabilitySequence,
     ScalarField,
-    to_storage_index,
     SupportError,
+    from_storage_index,
+    slice_offset,
+    split_slices,
+    to_storage_index,
 )
 
 SCHEMA_VERSION = 2
@@ -96,7 +99,7 @@ def _check_sites(t, n, lineno) -> np.ndarray:
     Raises :class:`FormatError` for the first site that is off-support or a
     repeat of an earlier site, naming its row ``lineno[i]``.
     """
-    flat = t * (t + 1) // 2 + (n + t) // 2
+    flat = slice_offset(t) + (n + t) // 2
     repeated = np.ones(len(flat), dtype=bool)
     repeated[np.unique(flat, return_index=True)[1]] = False
     bad = (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
@@ -110,11 +113,6 @@ def _check_sites(t, n, lineno) -> np.ndarray:
         raise FormatError(f"row {lineno[i]}: duplicate entry for "
                           f"(n={ni}, t={ti})")
     return flat
-
-
-def _unpack(flat, steps):
-    """Split a slice-order array into its slices t = 0..steps-1."""
-    return [flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2] for t in range(steps)]
 
 
 def _read_csv_slices(path):
@@ -137,9 +135,9 @@ def _read_csv_slices(path):
     if exc is not None:
         raise FormatError(f"row {lineno[m]}: {exc}")
     horizon = int(t.max())
-    out = np.zeros((horizon + 1) * (horizon + 2) // 2)
+    out = np.zeros(slice_offset(horizon + 1))
     out[flat] = vals
-    return _unpack(out, horizon + 1)
+    return split_slices(out)
 
 
 def read_probability_csv(path) -> ProbabilitySequence:
@@ -185,7 +183,7 @@ def _load_json(path):
 
 
 def _json_slices(doc, path, *, schedule=False):
-    """The slices of a slice-table document as float arrays.
+    """The slices of a slice-table document, as lists of JSON numbers.
 
     A field has horizon + 1 slices of JSON numbers; a schedule has horizon
     slices, in which ``null`` marks an undefined site and is read as NaN.
@@ -208,19 +206,17 @@ def _json_slices(doc, path, *, schedule=False):
                 f"{path}: slice t={t} has {len(s)} entries, expected {t + 1}")
         if not allowed.issuperset(map(type, s)):
             k = next(k for k, v in enumerate(s) if type(v) not in allowed)
-            raise FormatError(f"{path}: {s[k]!r} at (n={2 * k - t}, t={t}) "
-                              f"is not a number")
-    try:
-        return [np.array(s, dtype=float) for s in slices]
-    except OverflowError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+            raise FormatError(f"{path}: {s[k]!r} at "
+                              f"(n={from_storage_index(k, t)}, t={t}) "
+                              "is not a number")
+    return slices
 
 
 def read_probability_json(path) -> ProbabilitySequence:
     slices = _json_slices(_load_json(path), path)
     try:
         return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
-    except FormatError as exc:
+    except (FormatError, OverflowError) as exc:  # a huge JSON integer
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -242,7 +238,7 @@ def read_schedule_json(path):
         raise FormatError(f"{path}: unknown schedule kind {kind!r}")
     try:
         return (CoinSchedule if kind == "coin" else JumpSchedule)(values)
-    except FormatError as exc:
+    except (FormatError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 

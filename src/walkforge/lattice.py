@@ -1,13 +1,14 @@
 """Parity-respecting lattice containers for walks on the integer line.
 
 A walker launched from the origin can only occupy sites with ``|n| <= t`` and
-``n + t`` even.  Every container in this module stores one dense array per
-time slice, indexed by ``k = (n + t) / 2`` with ``0 <= k <= t``, so
-off-support values are never materialised and parity bugs cannot arise from
-indexing arithmetic.
+``n + t`` even.  Every container in this module packs each component into
+one slice-order buffer, slice t at offset t(t+1)/2 and indexed within by
+``k = (n + t) / 2``, and exposes its slices as views of it, so off-support
+values are never materialised and parity bugs cannot arise from indexing
+arithmetic.
 
-All containers are immutable after construction (the backing arrays are
-marked read-only) and therefore safe to share across threads.
+All containers are immutable after construction (the buffers and their
+views are read-only) and therefore safe to share across threads.
 
 Accumulations over a time slice use compensated summation (``math.fsum`` for
 one-shot totals, a vectorized cascaded TwoSum ``cumsum`` for prefix/suffix
@@ -18,6 +19,7 @@ up to 10^4.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +60,6 @@ class FormatError(WalkError, ValueError):
     """A serialized field or schedule could not be parsed or validated."""
 
 
-def on_support(n: int, t: int) -> bool:
-    """True when (n, t) lies inside the light cone on the correct sublattice."""
-    return t >= 0 and abs(n) <= t and (n + t) % 2 == 0
-
-
 def to_storage_index(n: int, t: int) -> int:
     """Map an on-support site (n, t) to its slice index k = (n + t) / 2.
 
@@ -89,12 +86,34 @@ def from_storage_index(k: int, t: int) -> int:
 
 def site_positions(t: int) -> np.ndarray:
     """The on-support positions at time t: -t, -t+2, ..., t."""
+    if t < 0:
+        raise SupportError(f"negative time t={t}")
     return np.arange(-t, t + 1, 2)
 
 
-def fsum_slice(values) -> float:
-    """Exactly-rounded sum of one time slice."""
-    return math.fsum(np.asarray(values, dtype=float))
+def slice_offset(t):
+    """Offset t(t+1)/2 of slice t in a slice-order buffer, elementwise on
+    arrays; ``slice_offset(S)`` is the size of slices 0..S-1."""
+    return t * (t + 1) // 2
+
+
+def _slice_at(i: int) -> int:
+    """The slice t holding flat index i; at i = slice_offset(S), S."""
+    return (math.isqrt(8 * i + 1) - 1) // 2
+
+
+def slice_sites(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, n) of every flat index of slices 0..steps-1."""
+    ts = np.repeat(np.arange(steps), np.arange(1, steps + 1))
+    return ts, 2 * (np.arange(len(ts)) - slice_offset(ts)) - ts
+
+
+def split_slices(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark a slice-order buffer read-only, then return its slices as views
+    (taken after, so that they are read-only too)."""
+    buf.setflags(write=False)
+    off = slice_offset(np.arange(_slice_at(len(buf)) + 1)).tolist()
+    return tuple(buf[a:b] for a, b in zip(off, off[1:]))
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -123,48 +142,48 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
     return np.concatenate((rev[::-1], [0.0]))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _first_fault(mask: np.ndarray) -> tuple[int, int, int]:
+    """Flat index and site (n, t) of the first True of a slice-order mask."""
+    i = int(np.argmax(mask))
+    t = _slice_at(i)
+    return i, from_storage_index(i - slice_offset(t), t), t
 
 
-def _check_slices(slices, what: str, finite: bool = True) -> None:
-    """Slice t must hold t + 1 entries and, when ``finite``, no NaN or
-    infinity: those slip past every tolerance test downstream."""
+def _pack(slices, what: str, dtype=float) -> np.ndarray:
+    """Slices t = 0, 1, ... copied into one new slice-order buffer; slice t
+    must hold t + 1 entries."""
+    slices = [np.asarray(s, dtype) for s in slices]
     for t, s in enumerate(slices):
         if len(s) != t + 1:
             raise FormatError(
-                f"{what}: slice t={t} has {len(s)} entries, expected {t + 1}"
-            )
-    if finite and slices and not np.isfinite(np.concatenate(slices)).all():
-        t = next(t for t, s in enumerate(slices) if not np.isfinite(s).all())
-        k = int(np.argmin(np.isfinite(slices[t])))
-        raise FormatError(f"{what}: non-finite value {slices[t][k]} at "
-                          f"(n={2 * k - t}, t={t})")
+                f"{what}: slice t={t} has {len(s)} entries, expected {t + 1}")
+    return np.concatenate([np.empty(0, dtype), *slices])
+
+
+def _check_finite(buf: np.ndarray, what: str) -> None:
+    """NaN and infinity slip past every tolerance test downstream."""
+    bad = ~np.isfinite(buf)
+    if bad.any():
+        i, n, t = _first_fault(bad)
+        raise FormatError(
+            f"{what}: non-finite value {buf[i]} at (n={n}, t={t})")
 
 
 class _SliceData:
-    """Shared machinery for single-valued per-slice fields."""
-
-    _dtype = float
+    """Shared machinery for single-valued fields: one read-only slice-order
+    buffer, exposed slice by slice."""
 
     def __init__(self, slices):
-        slices = [np.array(s, dtype=self._dtype) for s in slices]
-        _check_slices(slices, type(self).__name__)
-        self._slices = tuple(_freeze(s) for s in slices)
+        buf = _pack(slices, type(self).__name__)
+        _check_finite(buf, type(self).__name__)
+        self._slices = split_slices(buf)
 
     @property
     def slices(self):
         return self._slices
 
-    def slice(self, t: int) -> np.ndarray:
-        return self._slices[t]
-
     def value(self, n: int, t: int):
         return self._slices[t][to_storage_index(n, t)]
-
-    def __len__(self) -> int:
-        return len(self._slices)
 
 
 class ProbabilitySequence(_SliceData):
@@ -176,26 +195,27 @@ class ProbabilitySequence(_SliceData):
 
     def __init__(self, slices, *, accept_tol: float = NORM_TOL,
                  renormalize: bool = False):
-        cleaned = []
-        for t, s in enumerate(slices):
-            s = np.array(s, dtype=float)
-            bad = s < -NEG_CLAMP
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InfeasibleTargetError(
-                    f"negative probability {s[k]:.3e} at "
-                    f"(n={from_storage_index(k, t)}, t={t})",
-                    n=from_storage_index(k, t), t=t)
-            np.clip(s, 0.0, None, out=s)
-            total = math.fsum(s)
+        buf = _pack(slices, "ProbabilitySequence")
+        bad = buf < -NEG_CLAMP
+        if bad.any():
+            i, n, t = _first_fault(bad)
+            raise InfeasibleTargetError(
+                f"negative probability {buf[i]:.3e} at (n={n}, t={t})",
+                n=n, t=t)
+        np.clip(buf, 0.0, None, out=buf)
+        # The exactly rounded total of each slice is also its divisor, so
+        # it fixes the bits of a renormalised sequence (x / 1.0 is x).
+        totals = [math.fsum(s) for s in split_slices(buf)]
+        for t, total in enumerate(totals):
             if abs(total - 1.0) > accept_tol:
                 raise FormatError(
                     f"slice t={t} sums to {total!r}, deviates from 1 by more "
                     f"than {accept_tol:g}")
-            if renormalize and abs(total - 1.0) > 1e-15:
-                s /= total
-            cleaned.append(s)
-        super().__init__(cleaned)
+        if renormalize:
+            divisors = [x if abs(x - 1.0) > 1e-15 else 1.0 for x in totals]
+            buf = buf / np.repeat(divisors, np.arange(1, len(totals) + 1))
+        _check_finite(buf, "ProbabilitySequence")
+        self._slices = split_slices(buf)
 
     @property
     def horizon(self) -> int:
@@ -209,20 +229,23 @@ class _WaveBase:
     _dtype: type
 
     def __init__(self, plus, minus):
-        plus = [np.array(s, dtype=self._dtype) for s in plus]
-        minus = [np.array(s, dtype=self._dtype) for s in minus]
-        _check_slices(plus, type(self).__name__ + ".plus")
-        _check_slices(minus, type(self).__name__ + ".minus")
-        if len(plus) != len(minus):
+        name = type(self).__name__
+        self._plus_buf = _pack(plus, name + ".plus", self._dtype)
+        _check_finite(self._plus_buf, name + ".plus")
+        self._minus_buf = _pack(minus, name + ".minus", self._dtype)
+        _check_finite(self._minus_buf, name + ".minus")
+        if len(self._plus_buf) != len(self._minus_buf):
             raise FormatError("plus and minus components differ in horizon")
-        for t in range(len(plus)):
-            norm = math.fsum(np.abs(plus[t]) ** 2) + math.fsum(np.abs(minus[t]) ** 2)
+        for t, (p2, m2) in enumerate(zip(
+                split_slices(np.abs(self._plus_buf) ** 2),
+                split_slices(np.abs(self._minus_buf) ** 2))):
+            norm = math.fsum(p2) + math.fsum(m2)
             if abs(norm - 1.0) > NORM_TOL:
                 raise IntegrityError(
                     f"wave field norm at t={t} is {norm!r}, deviates from 1 "
                     f"beyond {NORM_TOL:g}")
-        self._plus = tuple(_freeze(s) for s in plus)
-        self._minus = tuple(_freeze(s) for s in minus)
+        self._plus = split_slices(self._plus_buf)
+        self._minus = split_slices(self._minus_buf)
 
     @property
     def horizon(self) -> int:
@@ -254,15 +277,16 @@ class WaveField(_WaveBase):
 
     def __init__(self, plus, minus):
         super().__init__(plus, minus)
-        for t in range(1, len(self._plus)):
-            if abs(self._minus[t][t]) > NORM_TOL:
-                raise IntegrityError(
-                    f"psi-({t},{t}) = {self._minus[t][t]!r}, must vanish on "
-                    "the right cone edge")
-            if abs(self._plus[t][0]) > NORM_TOL:
-                raise IntegrityError(
-                    f"psi+({-t},{t}) = {self._plus[t][0]!r}, must vanish on "
-                    "the left cone edge")
+        t = np.arange(1, len(self._plus))
+        right = np.abs(self._minus_buf[slice_offset(t + 1) - 1]) > NORM_TOL
+        left = np.abs(self._plus_buf[slice_offset(t)]) > NORM_TOL
+        if (right | left).any():
+            t = int(np.argmax(right | left)) + 1
+            if right[t - 1]:
+                raise IntegrityError(f"psi-({t},{t}) = {self._minus[t][t]!r}, "
+                                     "must vanish on the right cone edge")
+            raise IntegrityError(f"psi+({-t},{t}) = {self._plus[t][0]!r}, "
+                                 "must vanish on the left cone edge")
 
 
 class ComplexWaveField(_WaveBase):
@@ -283,87 +307,65 @@ class ScalarField(_SliceData):
     """Unconstrained per-slice real values (e.g. Monte Carlo standard errors)."""
 
 
-class _Schedule:
-    """Per-step table of local walk parameters with a defined/undefined mask.
+class _Schedule(_SliceData):
+    """Per-step table of local walk parameters, NaN where undefined.
 
     Slice t (t = 0..steps-1) drives the transition from time t to t + 1.
     Undefined entries mark sites of zero measure; they are stored as NaN and
-    serialized as explicit nulls, never as a silent default.
+    serialized as explicit nulls, never as a silent default.  A ``defined``
+    mask may mark them instead; NaN where it is True is an error.
     """
 
+    _upper: float
+    _range_error: str
+
     def __init__(self, values, defined=None):
-        values = [np.array(s, dtype=float) for s in values]
-        _check_slices(values, type(self).__name__, finite=False)
+        name = type(self).__name__
+        self._buf = _pack(values, name)
         if defined is None:
-            defined = [~np.isnan(s) for s in values]
+            defined = ~np.isnan(self._buf)
         else:
-            defined = [np.array(s, dtype=bool) for s in defined]
-            _check_slices(defined, type(self).__name__ + ".defined")
-        for t, (v, d) in enumerate(zip(values, defined)):
-            v[~d] = np.nan
-            self._check_range(v[d], t)
-        self._values = tuple(_freeze(v) for v in values)
-        self._defined = tuple(_freeze(d) for d in defined)
+            defined = _pack(defined, name + ".defined", bool)
+            self._buf[~defined] = np.nan
+        bad = defined & ~((self._buf >= 0.0) & (self._buf <= self._upper))
+        if bad.any():  # NaN at a defined site is out of range too
+            raise FormatError(
+                f"{self._range_error} in slice t={_first_fault(bad)[2]}")
+        self._slices = split_slices(self._buf)
 
-    def _check_range(self, vals, t):
-        raise NotImplementedError
+    steps = FluxField.steps
+    value_slices = _SliceData.slices
 
-    @property
-    def steps(self) -> int:
-        return len(self._values)
-
-    @property
-    def value_slices(self):
-        return self._values
-
-    @property
+    @cached_property
     def defined_slices(self):
-        return self._defined
-
-    def value(self, n: int, t: int):
-        return self._values[t][to_storage_index(n, t)]
+        return split_slices(~np.isnan(self._buf))
 
     def is_defined(self, n: int, t: int) -> bool:
-        return bool(self._defined[t][to_storage_index(n, t)])
+        return not math.isnan(self.value(n, t))
 
 
 class CoinSchedule(_Schedule):
     """Coin angles theta(n, t) in [0, pi]; cos/sin are derived, never stored."""
 
-    def _check_range(self, vals, t):
-        if not ((vals >= 0.0) & (vals <= math.pi)).all():  # NaN fails too
-            raise FormatError(f"coin angle outside [0, pi] in slice t={t}")
-
-    def cos_slice(self, t: int) -> np.ndarray:
-        th = np.where(self._defined[t], self._values[t], 0.0)
-        return np.cos(th)
-
-    def sin_slice(self, t: int) -> np.ndarray:
-        th = np.where(self._defined[t], self._values[t], 0.0)
-        return np.sin(th)
+    _upper = math.pi
+    _range_error = "coin angle outside [0, pi]"
 
 
 class JumpSchedule(_Schedule):
     """Rightward-jump probabilities p(n, t) in [0, 1]."""
 
-    def _check_range(self, vals, t):
-        if not ((vals >= 0.0) & (vals <= 1.0)).all():  # NaN fails too
-            raise FormatError(f"jump probability outside [0, 1] in slice t={t}")
+    _upper = 1.0
+    _range_error = "jump probability outside [0, 1]"
 
 
 def probability_from_wavefield(w) -> ProbabilitySequence:
     """rho(n, t) = |psi+|^2 + |psi-|^2, slice by slice.
 
-    Accepts both real and complex wave fields.  Normalisation violations
-    beyond 1e-9 raise :class:`IntegrityError`; smaller drift is renormalised
-    away so the result satisfies the ProbabilitySequence invariants.
+    Accepts both real and complex wave fields.  Their constructors hold each
+    slice's norm within NORM_TOL; the remaining drift is renormalised away so
+    the result satisfies the ProbabilitySequence invariants.
     """
-    slices = []
-    for t in range(w.horizon + 1):
-        s = np.abs(w.plus_slices[t]) ** 2 + np.abs(w.minus_slices[t]) ** 2
-        total = math.fsum(s)
-        if abs(total - 1.0) > 1e-9:
-            raise IntegrityError(
-                f"wave field probability at t={t} sums to {total!r}")
-        slices.append(s)
-    return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
+    return ProbabilitySequence(
+        [np.abs(p) ** 2 + np.abs(m) ** 2
+         for p, m in zip(w.plus_slices, w.minus_slices)],
+        accept_tol=1e-9, renormalize=True)

@@ -89,7 +89,6 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
     if w.horizon != rho.horizon:
         raise IntegrityError("wave field and target have different horizons")
     angles = []
-    defined = []
     for t in range(rho.horizon):
         mask = rho.slices[t] > 0.0
         r = rho.slices[t][mask]
@@ -112,8 +111,7 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
         theta = np.full(t + 1, math.nan)
         theta[mask] = np.clip(np.arctan2(s, c), 0.0, math.pi)
         angles.append(theta)
-        defined.append(mask)
-    return CoinSchedule(angles, defined)
+    return CoinSchedule(angles)
 
 
 def _jump_schedule(nums, rhos) -> JumpSchedule:
@@ -123,7 +121,6 @@ def _jump_schedule(nums, rhos) -> JumpSchedule:
     out raises :class:`InfeasibleTargetError` naming the first such site.
     """
     probs = []
-    defined = []
     for t, (num, rs) in enumerate(zip(nums, rhos)):
         mask = rs > 0.0
         p = np.full(t + 1, math.nan)
@@ -136,8 +133,7 @@ def _jump_schedule(nums, rhos) -> JumpSchedule:
                 f"jump probability {p[k]!r} at (n={n}, t={t}) outside [0, 1]",
                 n=n, t=t)
         probs.append(np.clip(p, 0.0, 1.0))
-        defined.append(mask)
-    return JumpSchedule(probs, defined)
+    return JumpSchedule(probs)
 
 
 def synthesize_jumps(rho: ProbabilitySequence,

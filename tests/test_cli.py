@@ -259,11 +259,23 @@ CONTRACT = [
     (["figure"], "--which"),
     (["figure", "--which", "fig1", "-T", "4", "-N", "10",
       "--out", "{tmp}/plain"], "File exists"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "-T", "-2"],
+     "horizon must be >= 0"),
+    (["hadamard", "--theta", "0.7", "-T", "-1"], "horizon must be >= 0"),
+    (["hadamard", "--closed-form", "--theta", "0.7", "-T", "-1"],
+     "horizon must be >= 0"),
+    (["hadamard", "--asymptotic", "--theta", "0.7", "-T", "-1"],
+     "negative time"),
+    (["evolve", "-T", "x"], "invalid int value: 'x'"),
+    (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
+    (["synth", "--walk", "xx"], "invalid choice: 'xx'"),
+    ([], "required: command"),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", CONTRACT,
-                         ids=[" ".join(a) for a, _ in CONTRACT])
+                         ids=[" ".join(a) or "(no subcommand)"
+                              for a, _ in CONTRACT])
 def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
                                                   expected):
     run(capsys, "synth", "--target", "uniform", "-T", "3", "--walk", "qw",
@@ -281,3 +293,12 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     doc = json.loads(err)
     assert list(doc) == ["error"]
     assert expected in doc["error"]
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: walkforge evolve")
+    assert captured.err == ""

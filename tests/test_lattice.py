@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import given, strategies as st
 from walkforge.lattice import (
     CoinSchedule,
     ComplexWaveField,
+    FluxField,
     FormatError,
     InfeasibleTargetError,
     IntegrityError,
     JumpSchedule,
     ProbabilitySequence,
+    ScalarField,
     SupportError,
-    WalkError,
     WaveField,
     from_storage_index,
     probability_from_wavefield,
@@ -104,16 +106,42 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @given(st.integers(1, 8), st.data())
 def test_non_finite_entry_anywhere_is_rejected(horizon, data):
+    # One faulty entry at (n, t); every error names its slice, and the
+    # sequence's errors that name a site name this one.
     t = data.draw(st.integers(0, horizon))
     k = data.draw(st.integers(0, t))
+    n = 2 * k - t
+    site = re.escape(f"(n={n}, t={t})")
     bad = data.draw(NON_FINITE)
-    slices = [np.full(s + 1, 1.0 / (s + 1)) for s in range(horizon + 1)]
-    slices[t][k] = bad
-    with pytest.raises(WalkError):
-        ProbabilitySequence(slices)
+    neg = data.draw(st.floats(-10.0, -1e-11))
+    high = data.draw(st.floats(1.0, 10.0, exclude_min=True))
+
+    def with_entry(value):
+        slices = [np.full(s + 1, 1.0 / (s + 1)) for s in range(horizon + 1)]
+        slices[t][k] = value
+        return slices
+
+    expected = {math.inf: (FormatError, rf"slice t={t} sums to inf"),
+                -math.inf: (InfeasibleTargetError,
+                            rf"negative probability -inf at {site}")}
+    kind, match = expected.get(bad, (FormatError,
+                                     rf"non-finite value nan at {site}"))
+    with pytest.raises(kind, match=match):
+        ProbabilitySequence(with_entry(bad))
+    with pytest.raises(InfeasibleTargetError,
+                       match=rf"negative probability .* at {site}") as exc:
+        ProbabilitySequence(with_entry(neg))
+    assert (exc.value.n, exc.value.t) == (n, t)
     defined = [np.ones(s + 1, dtype=bool) for s in range(horizon + 1)]
-    with pytest.raises(FormatError):
-        JumpSchedule(slices, defined)
+    for value in (bad, neg, high):
+        with pytest.raises(FormatError,
+                           match=rf"jump probability outside \[0, 1\] in "
+                                 rf"slice t={t}$"):
+            JumpSchedule(with_entry(value), defined)
+        with pytest.raises(FormatError,
+                           match=rf"coin angle outside \[0, pi\] in "
+                                 rf"slice t={t}$"):
+            CoinSchedule(with_entry(value + 3 * (value > 1.0)), defined)
 
 
 def test_schedule_nan_marks_undefined_sites_only():
@@ -122,9 +150,33 @@ def test_schedule_nan_marks_undefined_sites_only():
 
 
 def test_probability_sequence_immutable():
-    rho = ProbabilitySequence([[1.0]])
-    with pytest.raises(ValueError):
-        rho.slices[0][0] = 0.5
+    # Every component of every container is one read-only buffer, copied
+    # from the input and exposed as views of it.
+    h = math.sqrt(0.5)
+    inputs = [np.array([1.0]), np.array([0.5, 0.5])]
+    components = {
+        "slices": [ProbabilitySequence(inputs), FluxField(inputs),
+                   ScalarField(inputs)],
+        "plus_slices": [WaveField([[1.0], [0.0, h]], [[0.0], [h, 0.0]]),
+                        ComplexWaveField([[1.0], [0.0, h]], [[0.0], [h, 0.0]])],
+        "value_slices": [CoinSchedule([[0.5], [0.5, math.nan]]),
+                         JumpSchedule([[0.5], [0.5, 0.5]])],
+    }
+    components["minus_slices"] = components["plus_slices"]
+    components["defined_slices"] = components["value_slices"]
+    for name, containers in components.items():
+        for container in containers:
+            slices = getattr(container, name)
+            assert len(slices) == 2
+            buf = slices[0].base
+            assert buf is not None and not buf.flags.writeable
+            for t, s in enumerate(slices):
+                assert s.base is buf and len(s) == t + 1
+                with pytest.raises(ValueError):
+                    s[0] = 0.5
+    inputs[1][0] = 0.25
+    for container in components["slices"]:
+        assert container.slices[1].tolist() == [0.5, 0.5]
 
 
 def test_wavefield_requires_edge_zeros():
