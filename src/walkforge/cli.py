@@ -137,7 +137,7 @@ def cmd_evolve(args) -> int:
             raise WalkError("--init takes two comma-separated amplitudes, "
                             f"got {args.init!r}") from None
         norm = a ** 2 + b ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails every comparison
             raise WalkError(f"initial state norm {norm!r} != 1")
         rho = probability_from_wavefield(
             evolve_qw(schedule, init, args.horizon))
@@ -367,44 +367,34 @@ def _subparsers(parser) -> dict:
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _explicit_flags(argv) -> set[str]:
-    """The dests that argv sets itself, in whatever spelling (``-T3``,
-    ``--horizon=3``, ...): a second parse in which nothing has a default."""
-    parser = build_parser()
-    for sub in _subparsers(parser).values():
-        sub._defaults.clear()
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(args, argv, parser) -> None:
+def _parse_args(parser, argv):
+    """Parse ``argv``; with ``--config``, parse it again with the file's
+    values as the subcommand's defaults, so argparse converts them with each
+    flag's type and explicit flags win."""
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
     config = _load_config(args.config)
     subparser = _subparsers(parser)[args.command]
-    explicit = _explicit_flags(argv)
-    for action in subparser._actions:
-        if action.dest in ("help", "config") or action.dest not in config:
-            continue
-        if action.dest in explicit:
-            continue  # explicit flag wins
-        raw = config[action.dest]
-        value = action.type(raw) if action.type else raw
-        if action.choices and value not in action.choices:
-            raise WalkError(
-                f"config value {action.dest}={raw!r} not in {action.choices}")
-        setattr(args, action.dest, value)
     unknown = set(config) - {a.dest for a in subparser._actions}
     if unknown:
         raise WalkError(f"unknown config keys: {sorted(unknown)}")
+    subparser.set_defaults(**config)
+    args = parser.parse_args(argv)
+    # Argparse checks the choices of explicit flags only.
+    for action in subparser._actions:
+        if action.choices and action.dest in config and \
+                getattr(args, action.dest) not in action.choices:
+            raise WalkError(f"config value {action.dest}="
+                            f"{config[action.dest]!r} not in {action.choices}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, argv, parser)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except (WalkError, OSError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)

@@ -7,14 +7,12 @@ recursion, the closed-form solution built from the trigonometric kernel
 ``lambda_kernel``, and the exact classical master equation.  Monte Carlo
 trajectories use per-trajectory counter-based substreams keyed by
 (master seed, trajectory index), so the sampled set is bit-identical for
-any execution order or thread count.
+any execution order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,20 +37,6 @@ DEAD_AMPLITUDE = 1e-12
 # The closed-form kernel degenerates for ballistic coins; below this
 # |sin theta| the recursion engine is used instead.
 MIN_SIN_THETA = 1e-9
-
-
-def thread_cap() -> int:
-    """Parallelism cap from WALKFORGE_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("WALKFORGE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise WalkError(f"WALKFORGE_THREADS={raw!r} is not an integer") from None
-    if cap < 0:
-        raise WalkError(f"WALKFORGE_THREADS={cap} must be >= 0")
-    if cap == 0:
-        return os.cpu_count() or 1
-    return cap
 
 
 @dataclass(frozen=True)
@@ -106,6 +90,9 @@ class McConfig:
     def __post_init__(self):
         if self.trajectories < 1:
             raise WalkError("trajectories must be >= 1")
+        # Philox casts a key past int64 to float64; nearby seeds then collide.
+        if not 0 <= self.seed < 2 ** 63:
+            raise WalkError(f"seed must be in [0, 2**63), got {self.seed}")
         _check_horizon(self.horizon)
 
 
@@ -116,6 +103,15 @@ def _schedule_steps(schedule, steps: int | None) -> int:
         raise CoverageError(
             f"schedule covers {schedule.steps} steps, {steps} requested")
     return steps
+
+
+def _check_coverage(schedule, t: int, live: np.ndarray, what: str) -> None:
+    """Raise :class:`CoverageError` naming the leftmost ``live`` site of
+    slice ``t`` at which ``schedule`` is undefined."""
+    bad = live & ~schedule.defined_slices[t]
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise CoverageError(f"{what} (n={from_storage_index(k, t)}, t={t})")
 
 
 def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
@@ -136,14 +132,9 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     for t in range(steps):
         wp = plus[t]
         wm = minus[t]
-        defined = schedule.defined_slices[t]
         live = np.maximum(np.abs(wp), np.abs(wm)) > DEAD_AMPLITUDE
-        bad = live & ~defined
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise CoverageError(
-                f"coin undefined at live site (n={from_storage_index(k, t)}, "
-                f"t={t})")
+        _check_coverage(schedule, t, live, "coin undefined at live site")
+        defined = schedule.defined_slices[t]
         th = schedule.value_slices[t]
         c = np.where(defined, np.cos(th), 0.0)
         s = np.where(defined, np.sin(th), 0.0)
@@ -288,15 +279,9 @@ def evolve_rw_exact(schedule: JumpSchedule,
     slices = [np.array([1.0])]
     for t in range(steps):
         cur = slices[t]
-        defined = schedule.defined_slices[t]
-        live = cur > DEAD_AMPLITUDE
-        bad = live & ~defined
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise CoverageError(
-                f"jump probability undefined at occupied site "
-                f"(n={from_storage_index(k, t)}, t={t})")
-        p = np.where(defined, schedule.value_slices[t], 0.5)
+        _check_coverage(schedule, t, cur > DEAD_AMPLITUDE,
+                        "jump probability undefined at occupied site")
+        p = np.where(schedule.defined_slices[t], schedule.value_slices[t], 0.5)
         nxt = np.zeros(t + 2)
         nxt[1:] += p * cur
         nxt[:-1] += (1.0 - p) * cur
@@ -304,17 +289,16 @@ def evolve_rw_exact(schedule: JumpSchedule,
     return ProbabilitySequence(slices)
 
 
-def _trajectory_uniforms(seed: int, start: int, stop: int,
-                         steps: int) -> np.ndarray:
-    """Uniform draws for trajectories [start, stop), one row each.
+def _trajectory_uniforms(seed: int, n_traj: int, steps: int) -> np.ndarray:
+    """Uniform draws for trajectories 0..n_traj-1, one row each.
 
     Every trajectory owns a Philox substream keyed by (seed, index), so the
-    draws do not depend on chunking or execution order.
+    draws do not depend on execution order.
     """
-    out = np.empty((stop - start, steps))
-    for i in range(start, stop):
+    out = np.empty((n_traj, steps))
+    for i in range(n_traj):
         gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        out[i - start] = gen.random(steps)
+        out[i] = gen.random(steps)
     return out
 
 
@@ -328,33 +312,15 @@ def simulate_rw(schedule: JumpSchedule,
     """
     steps = _schedule_steps(schedule, cfg.horizon)
     n_traj = cfg.trajectories
-    workers = min(thread_cap(), max(1, n_traj // 1024))
-    if workers > 1:
-        bounds = np.linspace(0, n_traj, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda ab: _trajectory_uniforms(cfg.seed, ab[0], ab[1], steps),
-                zip(bounds[:-1], bounds[1:])))
-        uniforms = np.concatenate(chunks) if chunks else \
-            np.empty((0, steps))
-    else:
-        uniforms = _trajectory_uniforms(cfg.seed, 0, n_traj, steps)
-
+    uniforms = _trajectory_uniforms(cfg.seed, n_traj, steps)
     positions = np.zeros(n_traj, dtype=np.int64)
-    counts = [np.zeros(t + 1, dtype=np.int64) for t in range(steps + 1)]
-    counts[0][0] = n_traj
+    counts = [np.array([n_traj])]
     for t in range(steps):
-        k = (positions + t) >> 1
-        defined = schedule.defined_slices[t]
-        if not defined[k].all():
-            bad_k = int(k[np.argmin(defined[k])])
-            raise CoverageError(
-                f"jump probability undefined at visited site "
-                f"(n={from_storage_index(bad_k, t)}, t={t})")
-        p = schedule.value_slices[t][k]
+        _check_coverage(schedule, t, counts[t] > 0,
+                        "jump probability undefined at visited site")
+        p = schedule.value_slices[t][(positions + t) >> 1]
         positions = positions + np.where(uniforms[:, t] < p, 1, -1)
-        counts[t + 1] = np.bincount((positions + t + 1) >> 1,
-                                    minlength=t + 2).astype(np.int64)
+        counts.append(np.bincount((positions + t + 1) >> 1, minlength=t + 2))
     rho_hat = ProbabilitySequence([c / n_traj for c in counts])
     stderr = ScalarField([
         np.sqrt(np.clip(s * (1.0 - s), 0.0, None) / n_traj)

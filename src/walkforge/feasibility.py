@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import FluxField, IntegrityError, ProbabilitySequence, slice_sites
+from .lattice import (FluxField, IntegrityError, ProbabilitySequence,
+                      WalkError, slice_sites)
 
 DEFAULT_TOL = 1e-10
 
@@ -99,6 +100,8 @@ def validate_sequence(rho: ProbabilitySequence,
     Infeasibility is a report outcome, not an error.  The tolerance is
     additive because rho can be exactly zero at interior sites.
     """
+    if not tol >= 0:  # NaN fails every comparison
+        raise WalkError(f"tol must be >= 0, got {tol!r}")
     flux = flux_from_rho(rho)
     steps = flux.steps
     js = np.concatenate(flux.slices) if steps else np.empty(0)

@@ -216,7 +216,7 @@ def read_probability_json(path) -> ProbabilitySequence:
     slices = _json_slices(_load_json(path), path)
     try:
         return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
-    except (FormatError, OverflowError) as exc:  # a huge JSON integer
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -238,7 +238,7 @@ def read_schedule_json(path):
         raise FormatError(f"{path}: unknown schedule kind {kind!r}")
     try:
         return (CoinSchedule if kind == "coin" else JumpSchedule)(values)
-    except (FormatError, OverflowError) as exc:
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 

@@ -152,7 +152,10 @@ def _first_fault(mask: np.ndarray) -> tuple[int, int, int]:
 def _pack(slices, what: str, dtype=float) -> np.ndarray:
     """Slices t = 0, 1, ... copied into one new slice-order buffer; slice t
     must hold t + 1 entries."""
-    slices = [np.asarray(s, dtype) for s in slices]
+    try:
+        slices = [np.asarray(s, dtype) for s in slices]
+    except OverflowError as exc:  # an integer too large for a float
+        raise FormatError(f"{what}: {exc}") from None
     for t, s in enumerate(slices):
         if len(s) != t + 1:
             raise FormatError(
@@ -167,6 +170,14 @@ def _check_finite(buf: np.ndarray, what: str) -> None:
         i, n, t = _first_fault(bad)
         raise FormatError(
             f"{what}: non-finite value {buf[i]} at (n={n}, t={t})")
+
+
+def _total(values) -> float:
+    """Exactly rounded sum of ``values``; infinite if it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class _SliceData:
@@ -205,7 +216,7 @@ class ProbabilitySequence(_SliceData):
         np.clip(buf, 0.0, None, out=buf)
         # The exactly rounded total of each slice is also its divisor, so
         # it fixes the bits of a renormalised sequence (x / 1.0 is x).
-        totals = [math.fsum(s) for s in split_slices(buf)]
+        totals = [_total(s) for s in split_slices(buf)]
         for t, total in enumerate(totals):
             if abs(total - 1.0) > accept_tol:
                 raise FormatError(

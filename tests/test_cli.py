@@ -226,8 +226,9 @@ def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
 
 
 # Each subcommand with malformed input: (argv, text the error must contain).
-# "{tmp}" holds coins.json (a qw schedule), v1.json (a schema 1 schedule), a
-# plain file and bogus.cfg; missing* names nothing.
+# "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
+# v1.json (a schema 1 schedule), a plain file, bogus.cfg, badint.cfg and
+# overflow.csv (a slice whose sum overflows); missing* names nothing.
 CONTRACT = [
     (["validate"], "--target"),
     (["validate", "--target", "gaussian", "-T", "3"], "gaussian"),
@@ -270,6 +271,19 @@ CONTRACT = [
     (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
     (["synth", "--walk", "xx"], "invalid choice: 'xx'"),
     ([], "required: command"),
+    (["mc", "--schedule", "{tmp}/jumps.json", "--seed", "-1"],
+     "seed must be in [0, 2**63)"),
+    (["mc", "--schedule", "{tmp}/jumps.json", "--seed", str(2 ** 63)],
+     "seed must be in [0, 2**63)"),
+    (["figure", "--which", "fig1", "-T", "4", "-N", "10", "--seed", "-1",
+      "--out", "{tmp}"], "seed must be in [0, 2**63)"),
+    (["validate", "--target", "uniform", "-T", "3", "--tol", "nan"],
+     "tol must be >= 0"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "--init", "nan,0"],
+     "initial state norm nan"),
+    (["validate", "--target", "uniform", "--config", "{tmp}/badint.cfg"],
+     "invalid int value: 'x'"),
+    (["validate", "--target", "file:{tmp}/overflow.csv"], "sums to inf"),
 ]
 
 
@@ -283,8 +297,13 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "v1.json").write_text(json.dumps({
         "schema_version": 1, "horizon": 1, "kind": "jump",
         "entries": [{"t": 0, "n": 0, "value": 0.5}]}))
+    io.write_schedule_json(JumpSchedule([[0.5], [0.5, 0.5]]),
+                           tmp_path / "jumps.json")
     (tmp_path / "plain").write_text("not json\n")
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
+    (tmp_path / "badint.cfg").write_text("horizon = x\n")
+    (tmp_path / "overflow.csv").write_text(
+        "t,n,value\n0,0,1\n1,-1,1e308\n1,1,1e308\n")
     # main returning at all, rather than raising, means no traceback.
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

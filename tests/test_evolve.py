@@ -15,7 +15,6 @@ from walkforge.evolve import (
     lambda_slice,
     simulate_rw,
     symmetry_conditions,
-    thread_cap,
 )
 from walkforge.feasibility import flux_from_rho, flux_from_wavefield
 from walkforge.lattice import (
@@ -225,10 +224,16 @@ def test_exact_rw_fair_coin_is_binomial():
         assert np.allclose(rho.slices[t], ref.slices[t], atol=1e-14)
 
 
-def test_exact_rw_coverage_error():
+@pytest.mark.parametrize("engine", [
+    evolve_rw_exact,
+    lambda schedule: simulate_rw(
+        schedule, McConfig(trajectories=100, seed=0, horizon=2)),
+], ids=["exact", "mc"])
+def test_exact_rw_coverage_error(engine):
     schedule = JumpSchedule([np.array([0.5]), np.array([math.nan, 0.5])])
-    with pytest.raises(CoverageError, match=r"n=-1, t=1"):
-        evolve_rw_exact(schedule)
+    with pytest.raises(CoverageError, match=r"undefined at \w+ site "
+                                            r"\(n=-1, t=1\)$"):
+        engine(schedule)
 
 
 def test_mc_is_deterministic():
@@ -240,15 +245,27 @@ def test_mc_is_deterministic():
         assert (a.slices[t] == b.slices[t]).all()
 
 
-def test_mc_determinism_across_thread_counts(monkeypatch):
-    schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(8)])
-    cfg = McConfig(trajectories=4096, seed=9, horizon=8)
-    monkeypatch.setenv("WALKFORGE_THREADS", "1")
-    a, _ = simulate_rw(schedule, cfg)
-    monkeypatch.setenv("WALKFORGE_THREADS", "4")
-    b, _ = simulate_rw(schedule, cfg)
-    for t in range(9):
-        assert (a.slices[t] == b.slices[t]).all()
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+def test_mc_follows_the_documented_stream(seed):
+    # Trajectory i draws its uniforms from Philox(key=[seed, i]) and steps
+    # right at time t when draw t is below p(n, t).
+    steps, n_traj = 6, 300
+    probs = [np.linspace(0.2, 0.8, t + 1) for t in range(steps)]
+    counts = [np.zeros(t + 1, dtype=np.int64) for t in range(steps + 1)]
+    for i in range(n_traj):
+        draws = np.random.Generator(np.random.Philox(key=[seed, i])).random(
+            steps)
+        n = 0
+        counts[0][0] += 1
+        for t in range(steps):
+            n += 1 if draws[t] < probs[t][(n + t) // 2] else -1
+            counts[t + 1][(n + t + 1) // 2] += 1
+    rho, _ = simulate_rw(JumpSchedule(probs),
+                         McConfig(trajectories=n_traj, seed=seed,
+                                  horizon=steps))
+    for t in range(steps + 1):
+        # Frequencies, not rho * N: (c / N) * N is not always c in floats.
+        assert (rho.slices[t] == counts[t] / n_traj).all()
 
 
 def test_mc_sure_thing():
@@ -267,14 +284,6 @@ def test_mc_stderr_formula():
     for t in range(6):
         expect = np.sqrt(rho.slices[t] * (1 - rho.slices[t]) / n)
         assert np.allclose(stderr.slices[t], expect, atol=1e-15)
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("WALKFORGE_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("WALKFORGE_THREADS", "junk")
-    with pytest.raises(WalkError):
-        thread_cap()
 
 
 def test_flux_bridge_between_representations():
