@@ -6,8 +6,8 @@ oracles: the real inhomogeneous recursion, the complex homogeneous
 recursion, the closed-form solution built from the trigonometric kernel
 ``lambda_kernel``, and the exact classical master equation.  Monte Carlo
 trajectories use per-trajectory counter-based substreams keyed by
-(master seed, trajectory index), so the sampled set is bit-identical for
-any execution order.
+(master seed, trajectory index) and advance in blocks that add integer
+counts, so the sample is bit-identical for any block size.
 """
 
 from __future__ import annotations
@@ -28,11 +28,16 @@ from .lattice import (
     WalkError,
     from_storage_index,
     site_positions,
+    slice_offset,
+    split_slices,
 )
 
 # Amplitude (or mass) below this is allowed to touch undefined schedule
 # sites: such sites carry zero measure by construction.
 DEAD_AMPLITUDE = 1e-12
+
+# Trajectories per Monte Carlo block: it bounds memory, not the sample.
+_MC_BLOCK = 2048
 
 # The closed-form kernel degenerates for ballistic coins; below this
 # |sin theta| the recursion engine is used instead.
@@ -289,40 +294,42 @@ def evolve_rw_exact(schedule: JumpSchedule,
     return ProbabilitySequence(slices)
 
 
-def _trajectory_uniforms(seed: int, n_traj: int, steps: int) -> np.ndarray:
-    """Uniform draws for trajectories 0..n_traj-1, one row each.
-
-    Every trajectory owns a Philox substream keyed by (seed, index), so the
-    draws do not depend on execution order.
-    """
-    out = np.empty((n_traj, steps))
-    for i in range(n_traj):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        out[i] = gen.random(steps)
-    return out
-
-
 def simulate_rw(schedule: JumpSchedule,
                 cfg: McConfig) -> tuple[ProbabilitySequence, ScalarField]:
     """Monte Carlo estimate of the walk distribution with standard errors.
 
     Returns the empirical frequencies over ``cfg.trajectories`` independent
     walkers and the per-site standard error sqrt(rho_hat (1 - rho_hat) / N).
-    Fully reproducible given (seed, N, horizon).
+    Fully reproducible given (seed, N, horizon).  Trajectories advance in
+    blocks and add integer counts, so memory is O(block * T + T^2),
+    independent of N.
     """
     steps = _schedule_steps(schedule, cfg.horizon)
     n_traj = cfg.trajectories
-    uniforms = _trajectory_uniforms(cfg.seed, n_traj, steps)
-    positions = np.zeros(n_traj, dtype=np.int64)
-    counts = [np.array([n_traj])]
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+    fresh = gen.bit_generator.state  # counter zero, buffer empty
+    counts = np.zeros(slice_offset(steps + 1), dtype=np.int64)
+    counts[0] = n_traj
+    draws = np.empty((min(_MC_BLOCK, n_traj), steps))
+    for start in range(0, n_traj, _MC_BLOCK):
+        block = draws[:n_traj - start]
+        for i, row in enumerate(block, start):
+            fresh["state"]["key"][1] = i  # the state of Philox(key=[seed, i])
+            gen.bit_generator.state = fresh
+            gen.random(out=row)
+        # k = (n + t) / 2 stays put on a left step and grows on a right one.
+        k = np.zeros(len(block), dtype=np.int64)
+        for t, u in enumerate(block.T):
+            k += u < schedule.value_slices[t][k]
+            hist = np.bincount(k)
+            counts[slice_offset(t + 1):][:len(hist)] += hist
+    count_slices = split_slices(counts)
+    # A walker at an undefined site (p = NaN) steps left, so the counts up
+    # to the first visit of one, and the error it raises, are exact.
     for t in range(steps):
-        _check_coverage(schedule, t, counts[t] > 0,
+        _check_coverage(schedule, t, count_slices[t] > 0,
                         "jump probability undefined at visited site")
-        p = schedule.value_slices[t][(positions + t) >> 1]
-        positions = positions + np.where(uniforms[:, t] < p, 1, -1)
-        counts.append(np.bincount((positions + t + 1) >> 1, minlength=t + 2))
-    rho_hat = ProbabilitySequence([c / n_traj for c in counts])
-    stderr = ScalarField([
-        np.sqrt(np.clip(s * (1.0 - s), 0.0, None) / n_traj)
-        for s in rho_hat.slices])
+    rho_hat = ProbabilitySequence([c / n_traj for c in count_slices])
+    stderr = ScalarField([np.sqrt(s * (1.0 - s) / n_traj)
+                          for s in rho_hat.slices])
     return rho_hat, stderr

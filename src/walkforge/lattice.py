@@ -323,23 +323,16 @@ class _Schedule(_SliceData):
 
     Slice t (t = 0..steps-1) drives the transition from time t to t + 1.
     Undefined entries mark sites of zero measure; they are stored as NaN and
-    serialized as explicit nulls, never as a silent default.  A ``defined``
-    mask may mark them instead; NaN where it is True is an error.
+    serialized as explicit nulls, never as a silent default.
     """
 
     _upper: float
     _range_error: str
 
-    def __init__(self, values, defined=None):
-        name = type(self).__name__
-        self._buf = _pack(values, name)
-        if defined is None:
-            defined = ~np.isnan(self._buf)
-        else:
-            defined = _pack(defined, name + ".defined", bool)
-            self._buf[~defined] = np.nan
-        bad = defined & ~((self._buf >= 0.0) & (self._buf <= self._upper))
-        if bad.any():  # NaN at a defined site is out of range too
+    def __init__(self, values):
+        self._buf = _pack(values, type(self).__name__)
+        bad = (self._buf < 0.0) | (self._buf > self._upper)  # NaN is neither
+        if bad.any():
             raise FormatError(
                 f"{self._range_error} in slice t={_first_fault(bad)[2]}")
         self._slices = split_slices(self._buf)

@@ -206,7 +206,6 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
     if w.horizon != rho.horizon:
         raise IntegrityError("wave field and target have different horizons")
     angles = []
-    defined = []
     for t in range(rho.horizon):
         rs = rho.slices[t]
         wp = w.plus_slices[t]
@@ -230,8 +229,7 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
             th = math.atan2(s, c)
             theta[k] = min(max(th, 0.0), math.pi)
         angles.append(theta)
-        defined.append(mask)
-    return CoinSchedule(angles, defined)
+    return CoinSchedule(angles)
 
 
 
@@ -252,7 +250,6 @@ def synthesize_jumps(rho: ProbabilitySequence,
     if flux.steps != rho.horizon:
         raise IntegrityError("flux field and target have different horizons")
     probs = []
-    defined = []
     for t in range(rho.horizon):
         rs = rho.slices[t]
         js = flux.slices[t]
@@ -262,8 +259,7 @@ def synthesize_jumps(rho: ProbabilitySequence,
             n = from_storage_index(k, t)
             p[k] = _jump_from_ratio(0.5 * (rs[k] + js[k]), rs[k], n, t)
         probs.append(p)
-        defined.append(mask)
-    return JumpSchedule(probs, defined)
+    return JumpSchedule(probs)
 
 
 
@@ -275,7 +271,6 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
     both real and complex wave fields.
     """
     probs = []
-    defined = []
     for t in range(qw_field.horizon):
         wp = np.abs(qw_field.plus_slices[t]) ** 2
         wm = np.abs(qw_field.minus_slices[t]) ** 2
@@ -287,5 +282,4 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
             n = from_storage_index(k, t)
             p[k] = _jump_from_ratio(wp_next[k + 1], rs[k], n, t)
         probs.append(p)
-        defined.append(mask)
-    return JumpSchedule(probs, defined)
+    return JumpSchedule(probs)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from walkforge import evolve
 from walkforge.evolve import (
     HomogeneousCoinParams,
     McConfig,
@@ -245,27 +247,77 @@ def test_mc_is_deterministic():
         assert (a.slices[t] == b.slices[t]).all()
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
-def test_mc_follows_the_documented_stream(seed):
-    # Trajectory i draws its uniforms from Philox(key=[seed, i]) and steps
-    # right at time t when draw t is below p(n, t).
-    steps, n_traj = 6, 300
-    probs = [np.linspace(0.2, 0.8, t + 1) for t in range(steps)]
-    counts = [np.zeros(t + 1, dtype=np.int64) for t in range(steps + 1)]
+def documented_walks(seed, n_traj, probs):
+    """Storage index k = (n + t) / 2 of trajectory i at t = 0..T, one row
+    each: trajectory i draws its uniforms from Philox(key=[seed, i]) and
+    steps right at time t when draw t is below p(n, t)."""
+    steps = len(probs)
+    ks = np.zeros((n_traj, steps + 1), dtype=np.int64)
     for i in range(n_traj):
         draws = np.random.Generator(np.random.Philox(key=[seed, i])).random(
             steps)
         n = 0
-        counts[0][0] += 1
         for t in range(steps):
             n += 1 if draws[t] < probs[t][(n + t) // 2] else -1
-            counts[t + 1][(n + t + 1) // 2] += 1
+            ks[i, t + 1] = (n + t + 1) // 2
+    return ks
+
+
+MC_BLOCKS = [1, 7, 10 ** 5]
+
+
+@pytest.mark.parametrize("block", MC_BLOCKS)
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+def test_mc_follows_the_documented_stream(seed, block, monkeypatch):
+    monkeypatch.setattr(evolve, "_MC_BLOCK", block)
+    steps, n_traj = 6, 300
+    probs = [np.linspace(0.2, 0.8, t + 1) for t in range(steps)]
+    ks = documented_walks(seed, n_traj, probs)
     rho, _ = simulate_rw(JumpSchedule(probs),
                          McConfig(trajectories=n_traj, seed=seed,
                                   horizon=steps))
     for t in range(steps + 1):
         # Frequencies, not rho * N: (c / N) * N is not always c in floats.
-        assert (rho.slices[t] == counts[t] / n_traj).all()
+        counts = np.bincount(ks[:, t], minlength=t + 1)
+        assert (rho.slices[t] == counts / n_traj).all()
+
+
+def test_mc_coverage_error_does_not_depend_on_block_size(monkeypatch):
+    # Undefined: (n=3, t=3), after three right steps, and (n=-5, t=5),
+    # after five left ones.  Trajectories 0..6 reach only the second, so
+    # with blocks of 7 a later block reaches an undefined site first.
+    steps, n_traj, seed = 6, 300, 10
+    probs = [np.full(t + 1, 0.5) for t in range(steps)]
+    probs[3][3] = math.nan
+    probs[5][0] = math.nan
+    ks = documented_walks(seed, n_traj, probs)
+    assert not (ks[:7, 3] == 3).any() and (ks[:7, 5] == 0).any()
+    assert (ks[7:, 3] == 3).any()
+    messages = set()
+    for block in MC_BLOCKS:
+        monkeypatch.setattr(evolve, "_MC_BLOCK", block)
+        with pytest.raises(CoverageError) as exc:
+            simulate_rw(JumpSchedule(probs),
+                        McConfig(trajectories=n_traj, seed=seed,
+                                 horizon=steps))
+        messages.add(str(exc.value))
+    assert messages == {
+        "jump probability undefined at visited site (n=3, t=3)"}
+
+
+def test_mc_memory_does_not_grow_with_trajectories():
+    # The 4 000 trajectories fill two blocks; 16 times as many add none.
+    schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(200)])
+    peaks = []
+    for n_traj in (4_000, 64_000):
+        tracemalloc.start()
+        try:
+            simulate_rw(schedule,
+                        McConfig(trajectories=n_traj, seed=0, horizon=200))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_mc_sure_thing():
