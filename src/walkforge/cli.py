@@ -183,22 +183,20 @@ def cmd_hadamard(args) -> int:
     horizon = args.horizon
     if args.route == "asymptotic":
         t = horizon
-        rows = []
         limit = t * abs(math.cos(params.theta))
-        for n in site_positions(t):
-            if abs(n) < limit:
-                rows.append((t, int(n), asymptotic_density(params, int(n), t)))
+        rows = [(n, asymptotic_density(params, n, t))
+                for n in site_positions(t).tolist() if abs(n) < limit]
         if args.out is None:
             _print_json({
                 "schema_version": io.SCHEMA_VERSION,
                 "t": t,
-                "entries": [{"n": n, "value": v} for _, n, v in rows],
+                "entries": [{"n": n, "value": v} for n, v in rows],
             })
         else:
             with open(args.out, "w") as fh:
                 fh.write("t,n,value\n")
-                for t_, n, v in rows:
-                    fh.write(f"{t_},{n},{v!r}\n")
+                for n, v in rows:
+                    fh.write(f"{t},{n},{v!r}\n")
         return EXIT_OK
     if args.route == "closed-form":
         field = closed_form_wavefield(params, horizon)
@@ -216,10 +214,7 @@ def cmd_roundtrip(args) -> int:
         evolved = probability_from_wavefield(evolve_qw(schedule))
     else:
         evolved = evolve_rw_exact(schedule)
-    max_err = 0.0
-    for t in range(rho.horizon + 1):
-        err = float(np.max(np.abs(evolved.slices[t] - rho.slices[t])))
-        max_err = max(max_err, err)
+    max_err = float(np.max(np.abs(evolved.buf - rho.buf)))
     passed = max_err < ROUNDTRIP_TOL
     _print_json({
         "schema_version": io.SCHEMA_VERSION,
@@ -245,13 +240,11 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{args.which}.csv"
-    ns = site_positions(t_plot)
+    columns = (f.slices[t_plot].tolist() for f in (exact, rho_hat, stderr))
     with open(out, "w") as fh:
         fh.write("n,exact,mc,stderr\n")
-        for k, n in enumerate(ns):
-            fh.write(f"{n},{float(exact.slices[t_plot][k])!r},"
-                     f"{float(rho_hat.slices[t_plot][k])!r},"
-                     f"{float(stderr.slices[t_plot][k])!r}\n")
+        for row in zip(site_positions(t_plot).tolist(), *columns):
+            fh.write("%d,%r,%r,%r\n" % row)
     return EXIT_OK
 
 
@@ -362,11 +355,6 @@ def _load_config(path: str) -> dict[str, str]:
     return pairs
 
 
-def _subparsers(parser) -> dict:
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
-
-
 def _parse_args(parser, argv):
     """Parse ``argv``; with ``--config``, parse it again with the file's
     values as the subcommand's defaults, so argparse converts them with each
@@ -375,18 +363,24 @@ def _parse_args(parser, argv):
     if not getattr(args, "config", None):
         return args
     config = _load_config(args.config)
-    subparser = _subparsers(parser)[args.command]
+    subparser = next(a for a in parser._actions if isinstance(
+        a, argparse._SubParsersAction)).choices[args.command]
     unknown = set(config) - {a.dest for a in subparser._actions}
     if unknown:
         raise WalkError(f"unknown config keys: {sorted(unknown)}")
     subparser.set_defaults(**config)
     args = parser.parse_args(argv)
-    # Argparse checks the choices of explicit flags only.
+    # Argparse checks the values of explicit flags only: a flag's choices,
+    # or the consts of the flags that store into its dest.
+    consts = [a for a in subparser._actions
+              if isinstance(a, argparse._StoreConstAction)]
     for action in subparser._actions:
-        if action.choices and action.dest in config and \
-                getattr(args, action.dest) not in action.choices:
+        values = action.choices or tuple(
+            a.const for a in consts if a.dest == action.dest)
+        if values and action.dest in config and \
+                getattr(args, action.dest) not in values:
             raise WalkError(f"config value {action.dest}="
-                            f"{config[action.dest]!r} not in {action.choices}")
+                            f"{config[action.dest]!r} not in {values}")
     return args
 
 

@@ -26,7 +26,8 @@ from .lattice import (
     ScalarField,
     WaveField,
     WalkError,
-    from_storage_index,
+    _check_horizon,
+    _first_fault,
     site_positions,
     slice_offset,
     split_slices,
@@ -79,13 +80,6 @@ class HomogeneousCoinParams:
         )
 
 
-def _check_horizon(horizon: int) -> int:
-    """``horizon``, which must be >= 0."""
-    if horizon < 0:
-        raise WalkError(f"horizon must be >= 0, got {horizon}")
-    return horizon
-
-
 @dataclass(frozen=True)
 class McConfig:
     trajectories: int
@@ -110,13 +104,13 @@ def _schedule_steps(schedule, steps: int | None) -> int:
     return steps
 
 
-def _check_coverage(schedule, t: int, live: np.ndarray, what: str) -> None:
-    """Raise :class:`CoverageError` naming the leftmost ``live`` site of
-    slice ``t`` at which ``schedule`` is undefined."""
-    bad = live & ~schedule.defined_slices[t]
+def _check_coverage(schedule, live: np.ndarray, what: str) -> None:
+    """Raise :class:`CoverageError` naming the earliest, then leftmost,
+    site of a slice-order mask ``live`` at which ``schedule`` is undefined."""
+    bad = live & np.isnan(schedule.buf[:len(live)])
     if bad.any():
-        k = int(np.argmax(bad))
-        raise CoverageError(f"{what} (n={from_storage_index(k, t)}, t={t})")
+        _, n, t = _first_fault(bad)
+        raise CoverageError(f"{what} (n={n}, t={t})")
 
 
 def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
@@ -131,33 +125,29 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     :class:`CoverageError`.
     """
     steps = _schedule_steps(schedule, steps)
-    a, b = float(init[0]), float(init[1])
-    plus = [np.array([a])]
-    minus = [np.array([b])]
+    th = schedule.buf[:slice_offset(steps)]
+    c, s = (split_slices(np.nan_to_num(f(th), copy=False))  # NaN steps as 0
+            for f in (np.cos, np.sin))
+    plus = np.zeros(slice_offset(steps + 1))
+    minus = np.zeros_like(plus)
+    plus[0], minus[0] = float(init[0]), float(init[1])
+    wp, wm = split_slices(plus), split_slices(minus)
     for t in range(steps):
-        wp = plus[t]
-        wm = minus[t]
-        live = np.maximum(np.abs(wp), np.abs(wm)) > DEAD_AMPLITUDE
-        _check_coverage(schedule, t, live, "coin undefined at live site")
-        defined = schedule.defined_slices[t]
-        th = schedule.value_slices[t]
-        c = np.where(defined, np.cos(th), 0.0)
-        s = np.where(defined, np.sin(th), 0.0)
-        new_p = np.zeros(t + 2)
-        new_m = np.zeros(t + 2)
-        new_p[1:] = c * wp + s * wm
-        new_m[:-1] = s * wp - c * wm
-        plus.append(new_p)
-        minus.append(new_m)
+        wp[t + 1][1:] = c[t] * wp[t] + s[t] * wm[t]
+        wm[t + 1][:-1] = s[t] * wp[t] - c[t] * wm[t]
+    del c, s  # free both buffers before the live check allocates
+    live = (np.abs(plus[:len(th)]) > DEAD_AMPLITUDE) | \
+        (np.abs(minus[:len(th)]) > DEAD_AMPLITUDE)
+    _check_coverage(schedule, live, "coin undefined at live site")
     return WaveField(plus, minus)
 
 
 def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWaveField:
     """Step-by-step evolution of the general homogeneous complex walk."""
     _check_horizon(horizon)
-    a, b = params.initial_state()
-    plus = [np.array([a], dtype=complex)]
-    minus = [np.array([b], dtype=complex)]
+    plus = np.zeros(slice_offset(horizon + 1), dtype=complex)
+    minus = np.zeros_like(plus)
+    plus[0], minus[0] = params.initial_state()
     c = math.cos(params.theta)
     s = math.sin(params.theta)
     ph_chi = np.exp(1j * params.chi)
@@ -165,15 +155,10 @@ def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWav
     pm = ph_chi * np.exp(-1j * params.beta) * s
     mp = ph_chi * np.exp(1j * params.beta) * s
     mm = ph_chi * np.exp(-1j * params.alpha) * c
+    wp, wm = split_slices(plus), split_slices(minus)
     for t in range(horizon):
-        wp = plus[t]
-        wm = minus[t]
-        new_p = np.zeros(t + 2, dtype=complex)
-        new_m = np.zeros(t + 2, dtype=complex)
-        new_p[1:] = pp * wp + pm * wm
-        new_m[:-1] = mp * wp - mm * wm
-        plus.append(new_p)
-        minus.append(new_m)
+        wp[t + 1][1:] = pp * wp[t] + pm * wm[t]
+        wm[t + 1][:-1] = mp * wp[t] - mm * wm[t]
     return ComplexWaveField(plus, minus)
 
 
@@ -217,23 +202,22 @@ def closed_form_wavefield(params: HomogeneousCoinParams,
     m11 = np.exp(1j * chi) * (
         np.exp(1j * params.beta) * math.cos(params.eta) * s
         - np.exp(1j * (params.gamma - alpha)) * math.sin(params.eta) * c)
-    plus = []
-    minus = []
+    plus = np.empty(slice_offset(horizon + 1), dtype=complex)
+    minus = np.empty_like(plus)
     lam = lambda_slice(params.theta, 0, site_positions(0))
-    for t in range(horizon + 1):
-        ns = site_positions(t)
+    for t, (wp, wm) in enumerate(zip(split_slices(plus),
+                                     split_slices(minus))):
         # Lambda(n -+ 1, t + 1) at the sites n of slice t are the first and
         # the last t + 1 values of slice t + 1, which is the next lam.
         nxt = lambda_slice(params.theta, t + 1, site_positions(t + 1))
-        wp = np.exp(1j * (chi * t + alpha * ns)) * (
-            p00 * lam + np.exp(-1j * (chi + alpha)) * p11 * nxt[:-1])
         # The minus component carries e^{i alpha n}, not e^{-i alpha n}: only
         # this convention reproduces the defining recursion (checked against
         # the step-by-step engine for random parameters).
-        wm = np.exp(1j * (chi * t + alpha * ns)) * (
+        phase = np.exp(1j * (chi * t + alpha * site_positions(t)))
+        wp[:] = phase * (
+            p00 * lam + np.exp(-1j * (chi + alpha)) * p11 * nxt[:-1])
+        wm[:] = phase * (
             m00 * lam + np.exp(-1j * (chi - alpha)) * m11 * nxt[1:])
-        plus.append(wp)
-        minus.append(wm)
         lam = nxt
     return ComplexWaveField(plus, minus)
 
@@ -281,17 +265,16 @@ def evolve_rw_exact(schedule: JumpSchedule,
     keeps summing to one.
     """
     steps = _schedule_steps(schedule, steps)
-    slices = [np.array([1.0])]
-    for t in range(steps):
-        cur = slices[t]
-        _check_coverage(schedule, t, cur > DEAD_AMPLITUDE,
-                        "jump probability undefined at occupied site")
-        p = np.where(schedule.defined_slices[t], schedule.value_slices[t], 0.5)
-        nxt = np.zeros(t + 2)
-        nxt[1:] += p * cur
-        nxt[:-1] += (1.0 - p) * cur
-        slices.append(nxt)
-    return ProbabilitySequence(slices)
+    p = schedule.buf[:slice_offset(steps)]
+    rho = np.zeros(slice_offset(steps + 1))
+    rho[0] = 1.0
+    r = split_slices(rho)
+    for t, pt in enumerate(split_slices(np.where(np.isnan(p), 0.5, p))):
+        r[t + 1][1:] += pt * r[t]
+        r[t + 1][:-1] += (1.0 - pt) * r[t]
+    _check_coverage(schedule, rho[:len(p)] > DEAD_AMPLITUDE,
+                    "jump probability undefined at occupied site")
+    return ProbabilitySequence(rho)
 
 
 def simulate_rw(schedule: JumpSchedule,
@@ -319,17 +302,15 @@ def simulate_rw(schedule: JumpSchedule,
             gen.random(out=row)
         # k = (n + t) / 2 stays put on a left step and grows on a right one.
         k = np.zeros(len(block), dtype=np.int64)
-        for t, u in enumerate(block.T):
-            k += u < schedule.value_slices[t][k]
+        for t in range(steps):
+            k += block[:, t] < schedule.value_slices[t][k]
             hist = np.bincount(k)
             counts[slice_offset(t + 1):][:len(hist)] += hist
-    count_slices = split_slices(counts)
+    del draws, block, row  # free the draws before the estimates allocate
     # A walker at an undefined site (p = NaN) steps left, so the counts up
     # to the first visit of one, and the error it raises, are exact.
-    for t in range(steps):
-        _check_coverage(schedule, t, count_slices[t] > 0,
-                        "jump probability undefined at visited site")
-    rho_hat = ProbabilitySequence([c / n_traj for c in count_slices])
-    stderr = ScalarField([np.sqrt(s * (1.0 - s) / n_traj)
-                          for s in rho_hat.slices])
-    return rho_hat, stderr
+    _check_coverage(schedule, counts[:slice_offset(steps)] > 0,
+                    "jump probability undefined at visited site")
+    rho_hat = ProbabilitySequence(counts / n_traj)
+    s = rho_hat.buf
+    return rho_hat, ScalarField(np.sqrt(s * (1.0 - s) / n_traj))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (FluxField, IntegrityError, ProbabilitySequence,
-                      WalkError, slice_sites)
+                      WalkError, flat_sites, neighbours, slice_offset,
+                      split_slices)
 
 DEFAULT_TOL = 1e-10
 
@@ -36,10 +37,9 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
         If the redundant right-to-left pass disagrees beyond 1e-10, which
         signals a non-conserving input.
     """
-    slices = []
-    for t in range(rho.horizon):
-        cur = rho.slices[t]
-        nxt = rho.slices[t + 1]
+    flux = np.empty(slice_offset(rho.horizon))
+    for t, (js, cur, nxt) in enumerate(zip(split_slices(flux), rho.slices,
+                                           rho.slices[1:])):
         # Row k holds the three terms the recursion adds, in order, to step
         # from site k to k + 1; one cumsum over the rows, read at every third
         # entry, repeats the scalar recursion's roundings exactly.
@@ -57,9 +57,8 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
         # has swept over, so take every value from the pass anchored at the
         # nearer cone edge; this preserves the relative accuracy of fluxes
         # through low-probability tails.
-        mass = np.cumsum(cur)
-        slices.append(np.where(mass <= 0.5, ltr, rtl))
-    return FluxField(slices)
+        js[:] = np.where(np.cumsum(cur) <= 0.5, ltr, rtl)
+    return FluxField(flux)
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,8 @@ def validate_sequence(rho: ProbabilitySequence,
     """
     if not tol >= 0:  # NaN fails every comparison
         raise WalkError(f"tol must be >= 0, got {tol!r}")
-    flux = flux_from_rho(rho)
-    steps = flux.steps
-    js = np.concatenate(flux.slices) if steps else np.empty(0)
-    rs = np.concatenate(rho.slices[:steps]) if steps else np.empty(0)
-    ts, ns = slice_sites(steps)
+    js = flux_from_rho(rho).buf
+    rs = rho.buf[:len(js)]
     aj = np.abs(js)
     zero = rs == 0.0
     violated = np.where(zero, aj > tol, aj > rs + tol)
@@ -114,7 +110,8 @@ def validate_sequence(rho: ProbabilitySequence,
     boundary = ~zero & ~violated & (np.abs(aj - rs) <= tol)
 
     def sites(mask):
-        return tuple(zip(ns[mask].tolist(), ts[mask].tolist()))
+        ns, ts = flat_sites(np.flatnonzero(mask))
+        return tuple(zip(ns.tolist(), ts.tolist()))
 
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
@@ -129,9 +126,5 @@ def validate_sequence(rho: ProbabilitySequence,
 
 def flux_from_wavefield(w) -> FluxField:
     """J(n, t) = |psi+(n+1, t+1)|^2 - |psi-(n-1, t+1)|^2 for any wave field."""
-    slices = []
-    for t in range(w.horizon):
-        wp = np.abs(w.plus_slices[t + 1]) ** 2
-        wm = np.abs(w.minus_slices[t + 1]) ** 2
-        slices.append(wp[1:] - wm[:-1])
-    return FluxField(slices)
+    return FluxField(np.abs(neighbours(w.plus_buf, 1)) ** 2
+                     - np.abs(neighbours(w.minus_buf, -1)) ** 2)

@@ -30,7 +30,6 @@ from .lattice import (
     SupportError,
     from_storage_index,
     slice_offset,
-    split_slices,
     to_storage_index,
 )
 
@@ -115,8 +114,8 @@ def _check_sites(t, n, lineno) -> np.ndarray:
     return flat
 
 
-def _read_csv_slices(path):
-    """Collect the slices of a t,n,value CSV file; missing sites are zero.
+def _read_csv_buffer(path) -> np.ndarray:
+    """The slice-order buffer of a t,n,value CSV file; missing sites are 0.
 
     Rows are numbered as csv.reader counts them (the header is row 1 and
     blank rows count); of several faults, the first row's is reported.
@@ -137,15 +136,20 @@ def _read_csv_slices(path):
     horizon = int(t.max())
     out = np.zeros(slice_offset(horizon + 1))
     out[flat] = vals
-    return split_slices(out)
+    return out
+
+
+def _build(path, cls, data, **kwargs):
+    """``cls(data, **kwargs)``; a FormatError it raises names ``path``."""
+    try:
+        return cls(data, **kwargs)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_probability_csv(path) -> ProbabilitySequence:
-    slices = _read_csv_slices(path)
-    try:
-        return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, ProbabilitySequence, _read_csv_buffer(path),
+                  accept_tol=1e-9, renormalize=True)
 
 
 def _write_json(path, head: dict, slices) -> None:
@@ -189,13 +193,16 @@ def _json_slices(doc, path, *, schedule=False):
     slices, in which ``null`` marks an undefined site and is read as NaN.
     """
     try:
-        horizon = int(doc["horizon"])
+        horizon = doc["horizon"]
         slices = doc["slices"]
         if not all(isinstance(s, list) for s in slices):
             raise TypeError("slices is not a list of lists")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(
             f"{path}: missing or malformed slice table: {exc}") from None
+    if type(horizon) is not int or horizon < 0:  # bool is not int here
+        raise FormatError(f"{path}: horizon must be a JSON integer >= 0, "
+                          f"got {json.dumps(horizon)}")
     if len(slices) != (horizon if schedule else horizon + 1):
         raise FormatError(
             f"{path}: horizon {horizon} but {len(slices)} slices present")
@@ -213,11 +220,9 @@ def _json_slices(doc, path, *, schedule=False):
 
 
 def read_probability_json(path) -> ProbabilitySequence:
-    slices = _json_slices(_load_json(path), path)
-    try:
-        return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, ProbabilitySequence,
+                  _json_slices(_load_json(path), path),
+                  accept_tol=1e-9, renormalize=True)
 
 
 def write_schedule_json(schedule, path) -> None:
@@ -236,10 +241,8 @@ def read_schedule_json(path):
     kind = doc.get("kind")
     if kind not in ("coin", "jump"):
         raise FormatError(f"{path}: unknown schedule kind {kind!r}")
-    try:
-        return (CoinSchedule if kind == "coin" else JumpSchedule)(values)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, CoinSchedule if kind == "coin" else JumpSchedule,
+                  values)
 
 
 def write_mc_csv(rho: ProbabilitySequence, stderr: ScalarField, path) -> None:

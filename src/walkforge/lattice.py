@@ -1,11 +1,16 @@
 """Parity-respecting lattice containers for walks on the integer line.
 
 A walker launched from the origin can only occupy sites with ``|n| <= t`` and
-``n + t`` even.  Every container in this module packs each component into
+``n + t`` even.  Every container in this module holds each component as
 one slice-order buffer, slice t at offset t(t+1)/2 and indexed within by
 ``k = (n + t) / 2``, and exposes its slices as views of it, so off-support
 values are never materialised and parity bugs cannot arise from indexing
-arithmetic.
+arithmetic.  A container takes a 1-D slice-order array as its buffer
+without copying it, or copies a list of slices into a new one; both go
+through the same checks.  Producers size a buffer with
+:func:`slice_offset` and fill it through :func:`split_slices`,
+:func:`neighbours` and :func:`flat_sites`, so the offset arithmetic stays
+in this module.
 
 All containers are immutable after construction (the buffers and their
 views are read-only) and therefore safe to share across threads.
@@ -91,29 +96,43 @@ def site_positions(t: int) -> np.ndarray:
     return np.arange(-t, t + 1, 2)
 
 
+def _check_horizon(horizon: int) -> int:
+    """``horizon``, which must be >= 0."""
+    if horizon < 0:
+        raise WalkError(f"horizon must be >= 0, got {horizon}")
+    return horizon
+
+
 def slice_offset(t):
     """Offset t(t+1)/2 of slice t in a slice-order buffer, elementwise on
     arrays; ``slice_offset(S)`` is the size of slices 0..S-1."""
     return t * (t + 1) // 2
 
 
-def _slice_at(i: int) -> int:
-    """The slice t holding flat index i; at i = slice_offset(S), S."""
-    return (math.isqrt(8 * i + 1) - 1) // 2
+def _slice_at(i):
+    """The slice t holding flat index i, elementwise; at i = slice_offset(S),
+    S.  The float square root is exact here while 8i + 1 < 2**51."""
+    return ((np.sqrt(8 * np.asarray(i) + 1) - 1) // 2).astype(np.int64)
 
 
-def slice_sites(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, n) of every flat index of slices 0..steps-1."""
-    ts = np.repeat(np.arange(steps), np.arange(1, steps + 1))
-    return ts, 2 * (np.arange(len(ts)) - slice_offset(ts)) - ts
+def flat_sites(i):
+    """Sites (n, t) of flat indices i of a slice-order buffer, elementwise."""
+    t = _slice_at(i)
+    return 2 * (i - slice_offset(t)) - t, t
 
 
 def split_slices(buf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark a slice-order buffer read-only, then return its slices as views
-    (taken after, so that they are read-only too)."""
-    buf.setflags(write=False)
+    """The slices of a slice-order buffer, as views of it."""
     off = slice_offset(np.arange(_slice_at(len(buf)) + 1)).tolist()
     return tuple(buf[a:b] for a, b in zip(off, off[1:]))
+
+
+def neighbours(buf: np.ndarray, dn: int) -> np.ndarray:
+    """Values of a slice-order buffer of S slices at (n + dn, t + 1),
+    dn = +1 or -1, for every site (n, t) of slices 0..S-2, in slice order:
+    all but the first (dn = +1) or the last (dn = -1) entry of each slice."""
+    first = slice_offset(np.arange(_slice_at(len(buf))))
+    return np.delete(buf, first if dn > 0 else first + np.arange(len(first)))
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -145,8 +164,8 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
 def _first_fault(mask: np.ndarray) -> tuple[int, int, int]:
     """Flat index and site (n, t) of the first True of a slice-order mask."""
     i = int(np.argmax(mask))
-    t = _slice_at(i)
-    return i, from_storage_index(i - slice_offset(t), t), t
+    n, t = flat_sites(i)
+    return i, int(n), int(t)
 
 
 def _pack(slices, what: str, dtype=float) -> np.ndarray:
@@ -161,6 +180,29 @@ def _pack(slices, what: str, dtype=float) -> np.ndarray:
             raise FormatError(
                 f"{what}: slice t={t} has {len(s)} entries, expected {t + 1}")
     return np.concatenate([np.empty(0, dtype), *slices])
+
+
+def _buffer(data, what: str, dtype=float, min_slices: int = 0) -> np.ndarray:
+    """The slice-order buffer of ``data``: a 1-D array is taken over without
+    a copy (unless its dtype differs), a list of slices is copied by
+    :func:`_pack`.  It must hold whole slices 0..S-1, S >= ``min_slices``."""
+    if isinstance(data, np.ndarray) and data.ndim == 1:
+        buf = np.asarray(data, dtype)
+    else:
+        buf = _pack(data, what, dtype)
+    slices = int(_slice_at(len(buf)))
+    if len(buf) != slice_offset(slices):
+        raise FormatError(f"{what}: {len(buf)} values do not fill whole slices")
+    if slices < min_slices:
+        raise FormatError(f"{what}: no slices")
+    return buf
+
+
+def _freeze(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark a slice-order buffer read-only, then return its slices as views
+    (taken after, so that they are read-only too)."""
+    buf.setflags(write=False)
+    return split_slices(buf)
 
 
 def _check_finite(buf: np.ndarray, what: str) -> None:
@@ -185,9 +227,11 @@ class _SliceData:
     buffer, exposed slice by slice."""
 
     def __init__(self, slices):
-        buf = _pack(slices, type(self).__name__)
-        _check_finite(buf, type(self).__name__)
-        self._slices = split_slices(buf)
+        self._buf = _buffer(slices, type(self).__name__)
+        _check_finite(self._buf, type(self).__name__)
+        self._slices = _freeze(self._buf)
+
+    buf = property(lambda self: self._buf, doc="The slice-order buffer.")
 
     @property
     def slices(self):
@@ -206,14 +250,14 @@ class ProbabilitySequence(_SliceData):
 
     def __init__(self, slices, *, accept_tol: float = NORM_TOL,
                  renormalize: bool = False):
-        buf = _pack(slices, "ProbabilitySequence")
+        buf = _buffer(slices, "ProbabilitySequence", min_slices=1)
         bad = buf < -NEG_CLAMP
         if bad.any():
             i, n, t = _first_fault(bad)
             raise InfeasibleTargetError(
                 f"negative probability {buf[i]:.3e} at (n={n}, t={t})",
                 n=n, t=t)
-        np.clip(buf, 0.0, None, out=buf)
+        buf = np.clip(buf, 0.0, None, out=buf if buf.flags.writeable else None)
         # The exactly rounded total of each slice is also its divisor, so
         # it fixes the bits of a renormalised sequence (x / 1.0 is x).
         totals = [_total(s) for s in split_slices(buf)]
@@ -226,7 +270,8 @@ class ProbabilitySequence(_SliceData):
             divisors = [x if abs(x - 1.0) > 1e-15 else 1.0 for x in totals]
             buf = buf / np.repeat(divisors, np.arange(1, len(totals) + 1))
         _check_finite(buf, "ProbabilitySequence")
-        self._slices = split_slices(buf)
+        self._buf = buf
+        self._slices = _freeze(buf)
 
     @property
     def horizon(self) -> int:
@@ -241,9 +286,9 @@ class _WaveBase:
 
     def __init__(self, plus, minus):
         name = type(self).__name__
-        self._plus_buf = _pack(plus, name + ".plus", self._dtype)
+        self._plus_buf = _buffer(plus, name + ".plus", self._dtype, 1)
         _check_finite(self._plus_buf, name + ".plus")
-        self._minus_buf = _pack(minus, name + ".minus", self._dtype)
+        self._minus_buf = _buffer(minus, name + ".minus", self._dtype, 1)
         _check_finite(self._minus_buf, name + ".minus")
         if len(self._plus_buf) != len(self._minus_buf):
             raise FormatError("plus and minus components differ in horizon")
@@ -255,12 +300,15 @@ class _WaveBase:
                 raise IntegrityError(
                     f"wave field norm at t={t} is {norm!r}, deviates from 1 "
                     f"beyond {NORM_TOL:g}")
-        self._plus = split_slices(self._plus_buf)
-        self._minus = split_slices(self._minus_buf)
+        self._plus = _freeze(self._plus_buf)
+        self._minus = _freeze(self._minus_buf)
 
     @property
     def horizon(self) -> int:
         return len(self._plus) - 1
+
+    plus_buf = property(lambda self: self._plus_buf, doc="psi+ buffer.")
+    minus_buf = property(lambda self: self._minus_buf, doc="psi- buffer.")
 
     @property
     def plus_slices(self):
@@ -330,19 +378,19 @@ class _Schedule(_SliceData):
     _range_error: str
 
     def __init__(self, values):
-        self._buf = _pack(values, type(self).__name__)
+        self._buf = _buffer(values, type(self).__name__)
         bad = (self._buf < 0.0) | (self._buf > self._upper)  # NaN is neither
         if bad.any():
             raise FormatError(
                 f"{self._range_error} in slice t={_first_fault(bad)[2]}")
-        self._slices = split_slices(self._buf)
+        self._slices = _freeze(self._buf)
 
     steps = FluxField.steps
     value_slices = _SliceData.slices
 
     @cached_property
     def defined_slices(self):
-        return split_slices(~np.isnan(self._buf))
+        return _freeze(~np.isnan(self._buf))
 
     def is_defined(self, n: int, t: int) -> bool:
         return not math.isnan(self.value(n, t))
@@ -363,13 +411,12 @@ class JumpSchedule(_Schedule):
 
 
 def probability_from_wavefield(w) -> ProbabilitySequence:
-    """rho(n, t) = |psi+|^2 + |psi-|^2, slice by slice.
+    """rho(n, t) = |psi+|^2 + |psi-|^2 at every site.
 
     Accepts both real and complex wave fields.  Their constructors hold each
     slice's norm within NORM_TOL; the remaining drift is renormalised away so
     the result satisfies the ProbabilitySequence invariants.
     """
     return ProbabilitySequence(
-        [np.abs(p) ** 2 + np.abs(m) ** 2
-         for p, m in zip(w.plus_slices, w.minus_slices)],
+        np.abs(w.plus_buf) ** 2 + np.abs(w.minus_buf) ** 2,
         accept_tol=1e-9, renormalize=True)

@@ -25,9 +25,12 @@ from .lattice import (
     NEG_CLAMP,
     ProbabilitySequence,
     WaveField,
-    from_storage_index,
+    _first_fault,
+    neighbours,
     prefix_sums,
     probability_from_wavefield,
+    slice_offset,
+    split_slices,
     suffix_sums,
 )
 
@@ -47,11 +50,11 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     convention.  Squared amplitudes below -1e-12 raise
     :class:`InfeasibleTargetError` (the validator should pre-empt this).
     """
-    plus = [np.array([1.0])]
-    minus = [np.array([0.0])]
-    for t in range(1, rho.horizon + 1):
-        cur = rho.slices[t]
-        prev = rho.slices[t - 1]
+    plus = np.zeros(slice_offset(rho.horizon + 1))  # squared until the end
+    minus = np.zeros_like(plus)
+    plus[0] = 1.0
+    wp2, wm2 = split_slices(plus), split_slices(minus)
+    for t, (prev, cur) in enumerate(zip(rho.slices, rho.slices[1:]), 1):
         suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
         suf_p = suffix_sums(prev)
         pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
@@ -60,21 +63,20 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
         # Each value comes from the partial sums anchored at the nearer cone
         # edge, which keeps low-probability tails relatively accurate.
         # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
-        wp2 = np.where(suf_c[:-1] <= 0.5, suf_c[:-1] - suf_p, left_p - left_c)
+        wp2[t][:] = np.where(suf_c[:-1] <= 0.5, suf_c[:-1] - suf_p,
+                             left_p - left_c)
         # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
-        wm2 = np.where(pre_c <= 0.5, pre_c - left_p, suf_p - suf_c[1:])
-        for arr in (wp2, wm2):
-            bad = arr < -NEG_CLAMP
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InfeasibleTargetError(
-                    f"squared amplitude {arr[k]:.3e} at "
-                    f"(n={from_storage_index(k, t)}, t={t}); target is not "
-                    "realisable by a nearest-neighbor walk",
-                    n=from_storage_index(k, t), t=t)
-            np.clip(arr, 0.0, None, out=arr)
-        plus.append(np.sqrt(wp2))
-        minus.append(np.sqrt(wm2))
+        wm2[t][:] = np.where(pre_c <= 0.5, pre_c - left_p, suf_p - suf_c[1:])
+    # The earliest slice's fault, psi+ first: min keeps the first of ties.
+    faults = [(_first_fault(bad), buf) for buf in (plus, minus)
+              if (bad := buf < -NEG_CLAMP).any()]
+    if faults:
+        (i, n, t), buf = min(faults, key=lambda fault: fault[0][2])
+        raise InfeasibleTargetError(
+            f"squared amplitude {buf[i]:.3e} at (n={n}, t={t}); target is not "
+            "realisable by a nearest-neighbor walk", n=n, t=t)
+    for buf in (plus, minus):
+        np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)
     return WaveField(plus, minus)
 
 
@@ -88,52 +90,44 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
     """
     if w.horizon != rho.horizon:
         raise IntegrityError("wave field and target have different horizons")
-    angles = []
-    for t in range(rho.horizon):
-        mask = rho.slices[t] > 0.0
-        r = rho.slices[t][mask]
-        wp = w.plus_slices[t][mask]
-        wm = w.minus_slices[t][mask]
-        wp_next = w.plus_slices[t + 1][1:][mask]
-        wm_next = w.minus_slices[t + 1][:-1][mask]
-        c = (wp * wp_next - wm * wm_next) / r
-        s = (wm * wp_next + wp * wm_next) / r
-        norm = c * c + s * s
-        bad = np.abs(norm - 1.0) > COIN_NORM_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            k = int(np.flatnonzero(mask)[i])
-            raise IntegrityError(
-                f"coin at (n={from_storage_index(k, t)}, t={t}) has "
-                f"cos^2 + sin^2 = {norm[i]!r}; wave field inconsistent with "
-                "target")
-        s[(s >= -EDGE_CLAMP) & (s < 0.0)] = 0.0
-        theta = np.full(t + 1, math.nan)
-        theta[mask] = np.clip(np.arctan2(s, c), 0.0, math.pi)
-        angles.append(theta)
-    return CoinSchedule(angles)
+    m = slice_offset(rho.horizon)
+    wp, wm = w.plus_buf[:m], w.minus_buf[:m]
+    wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
+    c = wp * wp_next - wm * wm_next
+    s = wm * wp_next + wp * wm_next
+    del wp_next, wm_next  # free both buffers before the next temporaries
+    defined = rho.buf[:m] > 0.0
+    np.divide(c, rho.buf[:m], out=c, where=defined)
+    np.divide(s, rho.buf[:m], out=s, where=defined)
+    norm = c * c + s * s
+    bad = defined & (np.abs(norm - 1.0) > COIN_NORM_TOL)
+    if bad.any():
+        i, n, t = _first_fault(bad)
+        raise IntegrityError(
+            f"coin at (n={n}, t={t}) has cos^2 + sin^2 = {norm[i]!r}; wave "
+            "field inconsistent with target")
+    s[(s >= -EDGE_CLAMP) & (s < 0.0)] = 0.0
+    theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
+    theta[~defined] = math.nan
+    return CoinSchedule(theta)
 
 
-def _jump_schedule(nums, rhos) -> JumpSchedule:
+def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     """p(n, t) = num / rho wherever rho > 0, undefined where rho = 0.
 
     Values within EDGE_CLAMP of [0, 1] are clamped onto it; anything further
     out raises :class:`InfeasibleTargetError` naming the first such site.
     """
-    probs = []
-    for t, (num, rs) in enumerate(zip(nums, rhos)):
-        mask = rs > 0.0
-        p = np.full(t + 1, math.nan)
-        p[mask] = num[mask] / rs[mask]
-        bad = (p < -EDGE_CLAMP) | (p > 1.0 + EDGE_CLAMP)
-        if bad.any():
-            k = int(np.argmax(bad))
-            n = from_storage_index(k, t)
-            raise InfeasibleTargetError(
-                f"jump probability {p[k]!r} at (n={n}, t={t}) outside [0, 1]",
-                n=n, t=t)
-        probs.append(np.clip(p, 0.0, 1.0))
-    return JumpSchedule(probs)
+    mask = rho > 0.0
+    p = np.full(len(rho), math.nan)
+    p[mask] = num[mask] / rho[mask]
+    bad = (p < -EDGE_CLAMP) | (p > 1.0 + EDGE_CLAMP)
+    if bad.any():
+        i, n, t = _first_fault(bad)
+        raise InfeasibleTargetError(
+            f"jump probability {p[i]!r} at (n={n}, t={t}) outside [0, 1]",
+            n=n, t=t)
+    return JumpSchedule(np.clip(p, 0.0, 1.0))
 
 
 def synthesize_jumps(rho: ProbabilitySequence,
@@ -143,9 +137,8 @@ def synthesize_jumps(rho: ProbabilitySequence,
         flux = flux_from_rho(rho)
     if flux.steps != rho.horizon:
         raise IntegrityError("flux field and target have different horizons")
-    return _jump_schedule(
-        (0.5 * (rs + js) for rs, js in zip(rho.slices, flux.slices)),
-        rho.slices)
+    rs = rho.buf[:len(flux.buf)]
+    return _jump_schedule(0.5 * (rs + flux.buf), rs)
 
 
 def mimic_quantum_walk(qw_field) -> JumpSchedule:
@@ -155,11 +148,10 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
     real Hadamard field this reduces to [psi+ + psi-]^2 / (2 rho).  Works on
     both real and complex wave fields.
     """
-    plus = qw_field.plus_slices
-    minus = qw_field.minus_slices
-    rhos = (np.abs(wp) ** 2 + np.abs(wm) ** 2
-            for wp, wm in zip(plus[:-1], minus[:-1]))
-    return _jump_schedule((np.abs(wp[1:]) ** 2 for wp in plus[1:]), rhos)
+    m = slice_offset(qw_field.horizon)
+    plus, minus = qw_field.plus_buf, qw_field.minus_buf
+    rho = np.abs(plus[:m]) ** 2 + np.abs(minus[:m]) ** 2
+    return _jump_schedule(np.abs(neighbours(plus, 1)) ** 2, rho)
 
 
 def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:
@@ -169,9 +161,8 @@ def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:
     from the general synthesis formulas applied to that field.  The
     Cauchy-Schwarz inequality keeps |cos theta| <= 1 and |sin theta| <= 1.
     """
-    plus = [np.abs(s).astype(float) for s in qw_field.plus_slices]
-    minus = [np.abs(s).astype(float) for s in qw_field.minus_slices]
-    real_field = WaveField(plus, minus)
+    real_field = WaveField(np.abs(qw_field.plus_buf),
+                           np.abs(qw_field.minus_buf))
     rho = probability_from_wavefield(real_field)
     coins = synthesize_coins(rho, real_field)
     return real_field, coins

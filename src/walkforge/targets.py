@@ -9,18 +9,18 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln
 
+from .evolve import HomogeneousCoinParams, evolve_qw_complex
 from .io import read_probability_csv, read_probability_json
-from .lattice import ProbabilitySequence, WalkError, probability_from_wavefield
+from .lattice import (ProbabilitySequence, WalkError, _check_horizon,
+                      flat_sites, probability_from_wavefield, slice_offset)
 
 KINDS = ("uniform", "binomial", "hadamard", "file")
 
 
 def uniform_target(horizon: int) -> ProbabilitySequence:
     """rho(n, t) = 1 / (t + 1) on every on-support site."""
-    if horizon < 0:
-        raise WalkError(f"horizon must be >= 0, got {horizon}")
-    return ProbabilitySequence(
-        [np.full(t + 1, 1.0 / (t + 1)) for t in range(horizon + 1)])
+    sizes = np.arange(1, _check_horizon(horizon) + 2)
+    return ProbabilitySequence(np.repeat(1.0 / sizes, sizes))
 
 
 def binomial_target(p: float, horizon: int) -> ProbabilitySequence:
@@ -31,17 +31,11 @@ def binomial_target(p: float, horizon: int) -> ProbabilitySequence:
     """
     if not 0.0 < p < 1.0:
         raise WalkError(f"binomial parameter must satisfy 0 < p < 1, got {p}")
-    if horizon < 0:
-        raise WalkError(f"horizon must be >= 0, got {horizon}")
-    lp = math.log(p)
-    lq = math.log1p(-p)
-    slices = []
-    for t in range(horizon + 1):
-        k = np.arange(t + 1)
-        logs = gammaln(t + 1) - gammaln(k + 1) - gammaln(t - k + 1) \
-            + k * lp + (t - k) * lq
-        slices.append(np.exp(logs))
-    return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
+    n, t = flat_sites(np.arange(slice_offset(_check_horizon(horizon) + 1)))
+    k = (n + t) // 2
+    logs = gammaln(t + 1) - gammaln(k + 1) - gammaln(t - k + 1) \
+        + k * math.log(p) + (t - k) * math.log1p(-p)
+    return ProbabilitySequence(np.exp(logs), accept_tol=1e-9, renormalize=True)
 
 
 def hadamard_target(theta: float, eta: float, gamma: float, horizon: int,
@@ -52,8 +46,6 @@ def hadamard_target(theta: float, eta: float, gamma: float, horizon: int,
     Delegates to the complex evolution engine so the closed-form machinery
     has a single home.
     """
-    from .evolve import HomogeneousCoinParams, evolve_qw_complex
-
     params = HomogeneousCoinParams(theta=theta, eta=eta, gamma=gamma,
                                    alpha=alpha, beta=beta, chi=chi)
     return probability_from_wavefield(evolve_qw_complex(params, horizon))
@@ -115,7 +107,5 @@ class TargetSpec:
             return uniform_target(horizon)
         if self.kind == "binomial":
             return binomial_target(self.p, horizon)
-        theta, eta, gamma, *extra = self.angles
-        alpha, beta, chi = (extra + [0.0, 0.0, 0.0])[:3] if extra else (0.0, 0.0, 0.0)
-        return hadamard_target(theta, eta, gamma, horizon,
-                               alpha=alpha, beta=beta, chi=chi)
+        theta, eta, gamma = self.angles[:3]
+        return hadamard_target(theta, eta, gamma, horizon, *self.angles[3:])

@@ -227,8 +227,10 @@ def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
 
 # Each subcommand with malformed input: (argv, text the error must contain).
 # "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
-# v1.json (a schema 1 schedule), a plain file, bogus.cfg, badint.cfg and
-# overflow.csv (a slice whose sum overflows); missing* names nothing.
+# v1.json (a schema 1 schedule), a plain file, bogus.cfg, badint.cfg,
+# route.cfg, overflow.csv (a slice whose sum overflows) and, for each bad
+# slice-table horizon h in HORIZONS, field-h.json and jump-h.json, holding
+# the slices int(h) would call for; missing* names nothing.
 CONTRACT = [
     (["validate"], "--target"),
     (["validate", "--target", "gaussian", "-T", "3"], "gaussian"),
@@ -284,7 +286,33 @@ CONTRACT = [
     (["validate", "--target", "uniform", "--config", "{tmp}/badint.cfg"],
      "invalid int value: 'x'"),
     (["validate", "--target", "file:{tmp}/overflow.csv"], "sums to inf"),
+    (["hadamard", "--theta", "0.7", "-T", "3", "--config", "{tmp}/route.cfg"],
+     "config value route='closedform' not in "
+     "('closed-form', 'recursion', 'asymptotic')"),
+    (["validate", "--target", "file:{tmp}/field-1e400.json"],
+     "horizon must be a JSON integer >= 0, got Infinity"),
+    (["evolve", "--schedule", "{tmp}/jump-1e400.json"],
+     "horizon must be a JSON integer >= 0, got Infinity"),
+    (["mc", "--schedule", "{tmp}/jump-1e400.json"],
+     "horizon must be a JSON integer >= 0, got Infinity"),
+    (["validate", "--target", "file:{tmp}/field--1.json"],
+     "horizon must be a JSON integer >= 0, got -1"),
+    (["synth", "--target", "file:{tmp}/field--1.json", "--walk", "rw",
+      "--out", "{tmp}/jumps-out.json"],
+     "horizon must be a JSON integer >= 0, got -1"),
+    (["validate", "--target", "file:{tmp}/field-2.7.json"],
+     "horizon must be a JSON integer >= 0, got 2.7"),
+    (["evolve", "--schedule", "{tmp}/jump-2.7.json"],
+     "horizon must be a JSON integer >= 0, got 2.7"),
+    (["validate", "--target", "file:{tmp}/field-true.json"],
+     "horizon must be a JSON integer >= 0, got true"),
+    (["mc", "--schedule", "{tmp}/jump-true.json"],
+     "horizon must be a JSON integer >= 0, got true"),
 ]
+
+# Slice-table horizons that are not JSON integers >= 0, as JSON text, with
+# the horizon int() made of each (1e400 overflows, so any will do).
+HORIZONS = {"1e400": 2, "-1": -1, "2.7": 2, "true": 1}
 
 
 @pytest.mark.parametrize("argv, expected", CONTRACT,
@@ -302,6 +330,14 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "plain").write_text("not json\n")
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
     (tmp_path / "badint.cfg").write_text("horizon = x\n")
+    (tmp_path / "route.cfg").write_text("route = closedform\n")
+    for text, steps in HORIZONS.items():
+        field = [[1.0 / (t + 1)] * (t + 1) for t in range(steps + 1)]
+        head = f'{{"schema_version": 2, "horizon": {text}, '
+        (tmp_path / f"field-{text}.json").write_text(
+            head + f'"slices": {json.dumps(field)}}}')
+        (tmp_path / f"jump-{text}.json").write_text(
+            head + f'"kind": "jump", "slices": {json.dumps(field[:steps])}}}')
     (tmp_path / "overflow.csv").write_text(
         "t,n,value\n0,0,1\n1,-1,1e308\n1,1,1e308\n")
     # main returning at all, rather than raising, means no traceback.

@@ -152,32 +152,95 @@ def test_schedule_nan_marks_undefined_sites_only():
 
 def test_probability_sequence_immutable():
     # Every component of every container is one read-only buffer, copied
-    # from the input and exposed as views of it.
+    # from a list of slices or taken over from a slice-order array, and
+    # exposed as views of it.
     h = math.sqrt(0.5)
-    inputs = [np.array([1.0]), np.array([0.5, 0.5])]
-    components = {
-        "slices": [ProbabilitySequence(inputs), FluxField(inputs),
-                   ScalarField(inputs)],
-        "plus_slices": [WaveField([[1.0], [0.0, h]], [[0.0], [h, 0.0]]),
-                        ComplexWaveField([[1.0], [0.0, h]], [[0.0], [h, 0.0]])],
-        "value_slices": [CoinSchedule([[0.5], [0.5, math.nan]]),
-                         JumpSchedule([[0.5], [0.5, 0.5]])],
-    }
-    components["minus_slices"] = components["plus_slices"]
-    components["defined_slices"] = components["value_slices"]
-    for name, containers in components.items():
-        for container in containers:
-            slices = getattr(container, name)
-            assert len(slices) == 2
-            buf = slices[0].base
-            assert buf is not None and not buf.flags.writeable
-            for t, s in enumerate(slices):
-                assert s.base is buf and len(s) == t + 1
-                with pytest.raises(ValueError):
-                    s[0] = 0.5
-    inputs[1][0] = 0.25
-    for container in components["slices"]:
-        assert container.slices[1].tolist() == [0.5, 0.5]
+    for form in ("list", "buffer"):
+        def given(*slices):
+            slices = [np.array(s, dtype=float) for s in slices]
+            return slices if form == "list" else np.concatenate(slices)
+
+        inputs = given([1.0], [0.5, 0.5])
+        components = {
+            ("slices", "buf"): [ProbabilitySequence(inputs),
+                                FluxField(given([1.0], [0.5, 0.5])),
+                                ScalarField(given([1.0], [0.5, 0.5]))],
+            ("plus_slices", "plus_buf"): [
+                WaveField(given([1.0], [0.0, h]), given([0.0], [h, 0.0])),
+                ComplexWaveField(given([1.0], [0.0, h]),
+                                 given([0.0], [h, 0.0]))],
+            ("value_slices", "buf"): [
+                CoinSchedule(given([0.5], [0.5, math.nan])),
+                JumpSchedule(given([0.5], [0.5, 0.5]))],
+        }
+        components["minus_slices", "minus_buf"] = \
+            components["plus_slices", "plus_buf"]
+        components["defined_slices", None] = components["value_slices", "buf"]
+        for (name, buf_name), containers in components.items():
+            for container in containers:
+                slices = getattr(container, name)
+                assert len(slices) == 2
+                buf = slices[0].base
+                assert buf is not None and not buf.flags.writeable
+                if buf_name is not None:
+                    assert getattr(container, buf_name) is buf
+                for t, s in enumerate(slices):
+                    assert s.base is buf and len(s) == t + 1
+                    with pytest.raises(ValueError):
+                        s[0] = 0.5
+        if form == "list":
+            inputs[1][0] = 0.25
+            assert components["slices", "buf"][0].slices[1].tolist() == \
+                [0.5, 0.5]
+        else:  # taken over without a copy, and frozen
+            assert components["slices", "buf"][0].buf is inputs
+            assert not inputs.flags.writeable
+
+
+# Each container kind with list inputs that build a valid container.
+CONTAINERS = {
+    ProbabilitySequence: [[[1.0], [0.25, 0.75], [0.125, 0.5, 0.375]]],
+    FluxField: [[[0.5], [-0.25, 0.75]]],
+    ScalarField: [[[2.0], [-1.0, 3.0]]],
+    WaveField: [[[1.0], [0.0, math.sqrt(0.5)]], [[0.0], [math.sqrt(0.5), 0.0]]],
+    ComplexWaveField: [[[1.0], [0.0, 0.6j]], [[0.0], [0.8, 0.0]]],
+    CoinSchedule: [[[0.5], [math.nan, 3.0]]],
+    JumpSchedule: [[[0.5], [0.25, math.nan]]],
+}
+
+
+@pytest.mark.parametrize("kind, args", CONTAINERS.items(),
+                         ids=[k.__name__ for k in CONTAINERS])
+def test_buffer_and_list_inputs_build_equal_containers(kind, args):
+    from_list = kind(*args)
+    from_buffer = kind(*(np.concatenate([np.asarray(s) for s in a])
+                         for a in args))
+    names = [n for n in ("buf", "plus_buf", "minus_buf")
+             if hasattr(from_list, n)]
+    assert names
+    for name in names:
+        a, b = getattr(from_list, name), getattr(from_buffer, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind, args", CONTAINERS.items(),
+                         ids=[k.__name__ for k in CONTAINERS])
+def test_buffer_that_is_not_whole_slices_is_rejected(kind, args):
+    # Four values fill slices 0 and 1 and one entry of slice 2; before the
+    # length check the fourth value was dropped without a word.
+    buf = np.full(4, 0.25)
+    with pytest.raises(FormatError, match="4 values do not fill whole"):
+        kind(*(buf for _ in args))
+
+
+@pytest.mark.parametrize("kind", [ProbabilitySequence, WaveField,
+                                  ComplexWaveField])
+@pytest.mark.parametrize("form", [[], np.empty(0)], ids=["list", "buffer"])
+def test_fields_need_at_least_one_slice(kind, form):
+    # A zero-slice ProbabilitySequence used to report horizon -1.
+    with pytest.raises(FormatError, match="no slices"):
+        kind(*[form] * len(CONTAINERS[kind]))
 
 
 def test_wavefield_requires_edge_zeros():
