@@ -31,7 +31,7 @@ from .evolve import (
     evolve_rw_exact,
     simulate_rw,
 )
-from .feasibility import validate_sequence
+from .feasibility import DEFAULT_TOL, validate_sequence
 from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a target against the flux bound")
     common(p, target=True, horizon=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a coin or jump schedule")
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return args.func(args)
-    except (WalkError, OSError) as exc:
+    except (WalkError, OSError, MemoryError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_INPUT

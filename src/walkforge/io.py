@@ -8,7 +8,7 @@ coin or jump) has slices t = 0..S-1 with ``null`` at undefined sites.
 
 Readers reject parity and cone violations, duplicated rows, slices of the
 wrong length and table entries that are not JSON numbers; on-support points
-missing from a CSV file are taken to be zero.
+missing from a CSV file are taken to be zero, but each slice needs a row.
 """
 
 from __future__ import annotations
@@ -133,8 +133,13 @@ def _read_csv_buffer(path) -> np.ndarray:
     flat = _check_sites(t, n, lineno)
     if exc is not None:
         raise FormatError(f"row {lineno[m]}: {exc}")
-    horizon = int(t.max())
-    out = np.zeros(slice_offset(horizon + 1))
+    # Every t >= 0 here.  A slice without rows is named before the buffer,
+    # sized by the largest t, is allocated.
+    present = np.unique(t)
+    if len(present) <= present[-1]:
+        gap = int(np.argmin(present == np.arange(len(present))))
+        raise FormatError(f"{path}: slice t={gap} has no rows")
+    out = np.zeros(slice_offset(int(present[-1]) + 1))
     out[flat] = vals
     return out
 
@@ -149,7 +154,7 @@ def _build(path, cls, data, **kwargs):
 
 def read_probability_csv(path) -> ProbabilitySequence:
     return _build(path, ProbabilitySequence, _read_csv_buffer(path),
-                  accept_tol=1e-9, renormalize=True)
+                  renormalize=True)
 
 
 def _write_json(path, head: dict, slices) -> None:
@@ -221,8 +226,7 @@ def _json_slices(doc, path, *, schedule=False):
 
 def read_probability_json(path) -> ProbabilitySequence:
     return _build(path, ProbabilitySequence,
-                  _json_slices(_load_json(path), path),
-                  accept_tol=1e-9, renormalize=True)
+                  _json_slices(_load_json(path), path), renormalize=True)
 
 
 def write_schedule_json(schedule, path) -> None:

@@ -244,12 +244,12 @@ class _SliceData:
 class ProbabilitySequence(_SliceData):
     """The target and/or simulated position distribution rho(n, t), t = 0..T.
 
-    Each slice is non-negative and sums to one; values at parity-violating or
-    out-of-cone sites are implicitly zero and never stored.
+    Each slice is non-negative and sums to one (within NORM_TOL, or within
+    1e-9 and then divided by its total with ``renormalize``); values at
+    parity-violating or out-of-cone sites are implicitly zero, never stored.
     """
 
-    def __init__(self, slices, *, accept_tol: float = NORM_TOL,
-                 renormalize: bool = False):
+    def __init__(self, slices, *, renormalize: bool = False):
         buf = _buffer(slices, "ProbabilitySequence", min_slices=1)
         bad = buf < -NEG_CLAMP
         if bad.any():
@@ -261,6 +261,7 @@ class ProbabilitySequence(_SliceData):
         # The exactly rounded total of each slice is also its divisor, so
         # it fixes the bits of a renormalised sequence (x / 1.0 is x).
         totals = [_total(s) for s in split_slices(buf)]
+        accept_tol = 1e-9 if renormalize else NORM_TOL
         for t, total in enumerate(totals):
             if abs(total - 1.0) > accept_tol:
                 raise FormatError(
@@ -342,10 +343,12 @@ class WaveField(_WaveBase):
         if (right | left).any():
             t = int(np.argmax(right | left)) + 1
             if right[t - 1]:
-                raise IntegrityError(f"psi-({t},{t}) = {self._minus[t][t]!r}, "
-                                     "must vanish on the right cone edge")
-            raise IntegrityError(f"psi+({-t},{t}) = {self._plus[t][0]!r}, "
-                                 "must vanish on the left cone edge")
+                raise IntegrityError(
+                    f"psi-({t},{t}) = {float(self._minus[t][t])!r}, must "
+                    "vanish on the right cone edge")
+            raise IntegrityError(
+                f"psi+({-t},{t}) = {float(self._plus[t][0])!r}, must vanish "
+                "on the left cone edge")
 
 
 class ComplexWaveField(_WaveBase):
@@ -418,5 +421,4 @@ def probability_from_wavefield(w) -> ProbabilitySequence:
     the result satisfies the ProbabilitySequence invariants.
     """
     return ProbabilitySequence(
-        np.abs(w.plus_buf) ** 2 + np.abs(w.minus_buf) ** 2,
-        accept_tol=1e-9, renormalize=True)
+        np.abs(w.plus_buf) ** 2 + np.abs(w.minus_buf) ** 2, renormalize=True)

@@ -18,7 +18,6 @@ import numpy as np
 from .feasibility import flux_from_rho
 from .lattice import (
     CoinSchedule,
-    FluxField,
     InfeasibleTargetError,
     IntegrityError,
     JumpSchedule,
@@ -54,11 +53,12 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     minus = np.zeros_like(plus)
     plus[0] = 1.0
     wp2, wm2 = split_slices(plus), split_slices(minus)
-    for t, (prev, cur) in enumerate(zip(rho.slices, rho.slices[1:]), 1):
+    suf_c, pre_c = suffix_sums(rho.slices[0]), prefix_sums(rho.slices[0])
+    for t, cur in enumerate(rho.slices[1:], 1):
+        suf_p, pre_p = suf_c, pre_c
         suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
-        suf_p = suffix_sums(prev)
         pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
-        left_p = np.concatenate(([0.0], prefix_sums(prev)))  # sum_{j < k}
+        left_p = np.concatenate(([0.0], pre_p))  # sum_{j < k}
         left_c = np.concatenate(([0.0], pre_c[:-1]))
         # Each value comes from the partial sums anchored at the nearer cone
         # edge, which keeps low-probability tails relatively accurate.
@@ -104,8 +104,8 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
     if bad.any():
         i, n, t = _first_fault(bad)
         raise IntegrityError(
-            f"coin at (n={n}, t={t}) has cos^2 + sin^2 = {norm[i]!r}; wave "
-            "field inconsistent with target")
+            f"coin at (n={n}, t={t}) has cos^2 + sin^2 = {float(norm[i])!r}; "
+            "wave field inconsistent with target")
     s[(s >= -EDGE_CLAMP) & (s < 0.0)] = 0.0
     theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
     theta[~defined] = math.nan
@@ -125,18 +125,14 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     if bad.any():
         i, n, t = _first_fault(bad)
         raise InfeasibleTargetError(
-            f"jump probability {p[i]!r} at (n={n}, t={t}) outside [0, 1]",
-            n=n, t=t)
+            f"jump probability {float(p[i])!r} at (n={n}, t={t}) outside "
+            "[0, 1]", n=n, t=t)
     return JumpSchedule(np.clip(p, 0.0, 1.0))
 
 
-def synthesize_jumps(rho: ProbabilitySequence,
-                     flux: FluxField | None = None) -> JumpSchedule:
+def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
     """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0."""
-    if flux is None:
-        flux = flux_from_rho(rho)
-    if flux.steps != rho.horizon:
-        raise IntegrityError("flux field and target have different horizons")
+    flux = flux_from_rho(rho)
     rs = rho.buf[:len(flux.buf)]
     return _jump_schedule(0.5 * (rs + flux.buf), rs)
 

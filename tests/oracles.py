@@ -222,8 +222,8 @@ def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
             if abs(norm - 1.0) > COIN_NORM_TOL:
                 raise IntegrityError(
                     f"coin at (n={from_storage_index(k, t)}, t={t}) has "
-                    f"cos^2 + sin^2 = {norm!r}; wave field inconsistent with "
-                    "target")
+                    f"cos^2 + sin^2 = {float(norm)!r}; wave field inconsistent "
+                    "with target")
             if -EDGE_CLAMP <= s < 0.0:
                 s = 0.0
             th = math.atan2(s, c)
@@ -237,7 +237,7 @@ def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
     p = num / rho
     if p < -EDGE_CLAMP or p > 1.0 + EDGE_CLAMP:
         raise InfeasibleTargetError(
-            f"jump probability {p!r} at (n={n}, t={t}) outside [0, 1]",
+            f"jump probability {float(p)!r} at (n={n}, t={t}) outside [0, 1]",
             n=n, t=t)
     return min(max(p, 0.0), 1.0)
 

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walkforge
 from walkforge import io
 from walkforge.cli import main
 from walkforge.lattice import CoinSchedule, JumpSchedule, ProbabilitySequence
@@ -308,6 +313,13 @@ CONTRACT = [
      "horizon must be a JSON integer >= 0, got true"),
     (["mc", "--schedule", "{tmp}/jump-true.json"],
      "horizon must be a JSON integer >= 0, got true"),
+    # Horizons of 10**7 ask for a buffer larger than the address space, so
+    # its allocation fails at once and nothing that size is touched.
+    (["validate", "--target", "uniform", "-T", "10000000"],
+     "Unable to allocate"),
+    (["hadamard", "--theta", "0.7", "-T", "10000000"], "Unable to allocate"),
+    (["validate", "--target", "file:{tmp}/sparse.csv"],
+     "sparse.csv: slice t=1 has no rows"),
 ]
 
 # Slice-table horizons that are not JSON integers >= 0, as JSON text, with
@@ -340,6 +352,7 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
             head + f'"kind": "jump", "slices": {json.dumps(field[:steps])}}}')
     (tmp_path / "overflow.csv").write_text(
         "t,n,value\n0,0,1\n1,-1,1e308\n1,1,1e308\n")
+    (tmp_path / "sparse.csv").write_text("t,n,value\n0,0,1\n10000000,0,1\n")
     # main returning at all, rather than raising, means no traceback.
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
@@ -348,6 +361,18 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     doc = json.loads(err)
     assert list(doc) == ["error"]
     assert expected in doc["error"]
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter: this one holds whatever other tests imported.
+    src = Path(walkforge.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, walkforge.cli; print(sorted("
+         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

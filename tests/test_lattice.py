@@ -244,8 +244,15 @@ def test_fields_need_at_least_one_slice(kind, form):
 
 
 def test_wavefield_requires_edge_zeros():
-    with pytest.raises(IntegrityError, match="cone edge"):
+    # The messages print plain floats, not numpy scalar reprs.
+    with pytest.raises(IntegrityError) as err:
         WaveField([[1.0], [0.0, 0.7]], [[0.0], [0.0, math.sqrt(1 - 0.49)]])
+    assert str(err.value) == (f"psi-(1,1) = {math.sqrt(1 - 0.49)!r}, must "
+                              "vanish on the right cone edge")
+    with pytest.raises(IntegrityError) as err:
+        WaveField([[1.0], [0.7, 0.0]], [[0.0], [math.sqrt(1 - 0.49), 0.0]])
+    assert str(err.value) == \
+        "psi+(-1,1) = 0.7, must vanish on the left cone edge"
 
 
 def test_probability_from_wavefield_initial_condition():

@@ -96,7 +96,7 @@ def random_coin_target(rng, horizon):
         new_m[:-1] = np.sin(th) * plus - np.cos(th) * minus
         plus, minus = new_p, new_m
         slices.append(plus**2 + minus**2)
-    return ProbabilitySequence(slices, accept_tol=1e-9, renormalize=True)
+    return ProbabilitySequence(slices, renormalize=True)
 
 
 def random_slices_target(rng, horizon):

@@ -11,7 +11,9 @@ from walkforge.evolve import (
 )
 from walkforge.lattice import (
     InfeasibleTargetError,
+    IntegrityError,
     ProbabilitySequence,
+    WaveField,
     probability_from_wavefield,
 )
 from walkforge.synthesis import (
@@ -77,6 +79,17 @@ def test_infeasible_target_rejected_during_reconstruction():
     assert err.value.t == 2
 
 
+def test_inconsistent_coin_error_prints_a_plain_float():
+    rho = ProbabilitySequence([[1.0], [0.5, 0.5], [0.25, 0.5, 0.25]])
+    w = WaveField([[1.0], [0.0, math.sqrt(0.5)], [0.0, 0.0, 0.6]],
+                  [[0.0], [math.sqrt(0.5), 0.0], [0.8, 0.0, 0.0]])
+    with pytest.raises(IntegrityError) as err:
+        synthesize_coins(rho, w)
+    assert str(err.value) == (
+        "coin at (n=-1, t=1) has cos^2 + sin^2 = 1.2800000000000005; "
+        "wave field inconsistent with target")
+
+
 def test_uniform_coin_examples():
     rho = uniform_target(6)
     coins = synthesize_coins(rho, reconstruct_wavefield(rho))
@@ -136,6 +149,14 @@ def test_binomial_jump_is_constant():
         defined = jumps.defined_slices[t]
         assert defined.all()
         assert np.allclose(jumps.value_slices[t], p, atol=1e-12)
+
+
+def test_infeasible_jump_error_prints_a_plain_float():
+    rho = ProbabilitySequence([[1.0], [0.5, 0.5], [0.05, 0.05, 0.9]])
+    with pytest.raises(InfeasibleTargetError) as err:
+        synthesize_jumps(rho)
+    assert str(err.value) == \
+        "jump probability 1.8 at (n=1, t=1) outside [0, 1]"
 
 
 def test_jump_round_trip():

@@ -43,6 +43,17 @@ def test_binomial_rejects_boundary_p(p):
         binomial_target(p, 5)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7])
+def test_binomial_matches_exact_values_at_T120(p):
+    # int / int division of the exact rational rounds correctly.
+    a, d = p.as_integer_ratio()
+    rho = binomial_target(p, 120)
+    for t in range(121):
+        exact = [math.comb(t, k) * a**k * (d - a)**(t - k) / d**t
+                 for k in range(t + 1)]
+        assert np.max(np.abs(rho.slices[t] - exact)) <= 2e-15, t
+
+
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.62])
 def test_binomial_mean_position(p):
     rho = binomial_target(p, 40)
