@@ -111,7 +111,7 @@ def _synthesize(rho: ProbabilitySequence, walk: str):
         sites = ", ".join(f"(n={v.n}, t={v.t})" for v in report.violations[:5])
         raise WalkError(f"target is infeasible; flux bound violated at {sites}")
     if walk == "qw":
-        return synthesize_coins(rho, reconstruct_wavefield(rho))
+        return synthesize_coins(reconstruct_wavefield(rho))
     return synthesize_jumps(rho)
 
 

@@ -265,14 +265,14 @@ def evolve_rw_exact(schedule: JumpSchedule,
     keeps summing to one.
     """
     steps = _schedule_steps(schedule, steps)
-    p = schedule.buf[:slice_offset(steps)]
     rho = np.zeros(slice_offset(steps + 1))
     rho[0] = 1.0
     r = split_slices(rho)
-    for t, pt in enumerate(split_slices(np.where(np.isnan(p), 0.5, p))):
+    for t, pt in enumerate(schedule.value_slices[:steps]):
+        pt = np.where(np.isnan(pt), 0.5, pt)  # per slice: no buffer copy
         r[t + 1][1:] += pt * r[t]
         r[t + 1][:-1] += (1.0 - pt) * r[t]
-    _check_coverage(schedule, rho[:len(p)] > DEAD_AMPLITUDE,
+    _check_coverage(schedule, rho[:slice_offset(steps)] > DEAD_AMPLITUDE,
                     "jump probability undefined at occupied site")
     return ProbabilitySequence(rho)
 

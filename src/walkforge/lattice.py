@@ -296,7 +296,7 @@ class _WaveBase:
         for t, (p2, m2) in enumerate(zip(
                 split_slices(np.abs(self._plus_buf) ** 2),
                 split_slices(np.abs(self._minus_buf) ** 2))):
-            norm = math.fsum(p2) + math.fsum(m2)
+            norm = _total(p2) + _total(m2)
             if abs(norm - 1.0) > NORM_TOL:
                 raise IntegrityError(
                     f"wave field norm at t={t} is {norm!r}, deviates from 1 "

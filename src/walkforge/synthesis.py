@@ -27,14 +27,12 @@ from .lattice import (
     _first_fault,
     neighbours,
     prefix_sums,
-    probability_from_wavefield,
     slice_offset,
     split_slices,
     suffix_sums,
 )
 
-# cos^2 + sin^2 may drift from 1 by this much before the synthesized pair is
-# considered inconsistent with its inputs.
+# Largest relative change of the local mass over one step of a wave field.
 COIN_NORM_TOL = 1e-8
 
 # Jump probabilities within this distance of [0, 1] are clamped onto it.
@@ -75,39 +73,43 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
         raise InfeasibleTargetError(
             f"squared amplitude {buf[i]:.3e} at (n={n}, t={t}); target is not "
             "realisable by a nearest-neighbor walk", n=n, t=t)
+    # rho(n, t) = psi+^2 + psi-^2 = psi+^2(n+1, t+1) + psi-^2(n-1, t+1), all
+    # terms >= 0: where rho vanishes so do they, not a partial-sum residue.
+    empty = rho.buf == 0.0
+    for t, was_empty in enumerate(split_slices(empty)[:-1], 1):
+        wp2[t][1:][was_empty] = wm2[t][:-1][was_empty] = 0.0
     for buf in (plus, minus):
-        np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)
+        np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)[empty] = 0.0
     return WaveField(plus, minus)
 
 
-def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
-    """Coin angles theta(n, t) that evolve w from slice t to t + 1.
-
-    cos theta = [psi+(n,t) psi+(n+1,t+1) - psi-(n,t) psi-(n-1,t+1)] / rho,
-    sin theta = [psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1)] / rho,
-    wherever rho(n, t) > 0; theta is recovered with the two-argument
-    arctangent and clamped to [0, pi].  Sites with rho = 0 are undefined.
+def synthesize_coins(w: WaveField) -> CoinSchedule:
+    """Coin angles theta(n, t) in [0, pi] that evolve w from slice t to t + 1:
+    atan2 of the undivided products psi- psi+' + psi+ psi-' = rho sin theta
+    and psi+ psi+' - psi- psi-' = rho cos theta, where psi+' = psi+(n+1, t+1)
+    and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
+    keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
+    (absolute below the smallest normal), or IntegrityError names the site.
     """
-    if w.horizon != rho.horizon:
-        raise IntegrityError("wave field and target have different horizons")
-    m = slice_offset(rho.horizon)
-    wp, wm = w.plus_buf[:m], w.minus_buf[:m]
     wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
+    wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
     c = wp * wp_next - wm * wm_next
     s = wm * wp_next + wp * wm_next
-    del wp_next, wm_next  # free both buffers before the next temporaries
-    defined = rho.buf[:m] > 0.0
-    np.divide(c, rho.buf[:m], out=c, where=defined)
-    np.divide(s, rho.buf[:m], out=s, where=defined)
-    norm = c * c + s * s
-    bad = defined & (np.abs(norm - 1.0) > COIN_NORM_TOL)
+    drift = np.square(wp_next, out=wp_next)  # in place: at most five
+    drift += np.square(wm_next, out=wm_next)  # buffers are alive at once
+    del wm_next
+    mass = wp * wp + wm * wm
+    np.abs(np.subtract(drift, mass, out=drift), out=drift)
+    scale = np.maximum(mass, np.finfo(float).tiny, out=mass)
+    defined = (wp != 0.0) | (wm != 0.0)
+    bad = defined & (drift > COIN_NORM_TOL * scale)
     if bad.any():
         i, n, t = _first_fault(bad)
         raise IntegrityError(
-            f"coin at (n={n}, t={t}) has cos^2 + sin^2 = {float(norm[i])!r}; "
-            "wave field inconsistent with target")
-    s[(s >= -EDGE_CLAMP) & (s < 0.0)] = 0.0
-    theta = np.clip(np.arctan2(s, c), 0.0, math.pi)
+            f"coin at (n={n}, t={t}) changes the local mass by "
+            f"{float(drift[i])!r}; wave field inconsistent")
+    s[(s >= -EDGE_CLAMP * scale) & (s < 0.0)] = 0.0
+    theta = np.clip(np.arctan2(s, c, out=c), 0.0, math.pi, out=c)
     theta[~defined] = math.nan
     return CoinSchedule(theta)
 
@@ -153,12 +155,9 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
 def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:
     """Real inhomogeneous walk with the statistics of a complex homogeneous one.
 
-    The real components are the moduli |psi+-(n, t)|; the coin angles follow
-    from the general synthesis formulas applied to that field.  The
-    Cauchy-Schwarz inequality keeps |cos theta| <= 1 and |sin theta| <= 1.
+    The real components are the moduli |psi+-(n, t)|, which keep the mass of
+    every site and step; the coins are :func:`synthesize_coins` of them.
     """
     real_field = WaveField(np.abs(qw_field.plus_buf),
                            np.abs(qw_field.minus_buf))
-    rho = probability_from_wavefield(real_field)
-    coins = synthesize_coins(rho, real_field)
-    return real_field, coins
+    return real_field, synthesize_coins(real_field)

@@ -3,7 +3,8 @@
 These are the scalar loops the library replaced with whole-slice numpy
 expressions.  They are kept only as test oracles: the property tests
 compare the library against them, so every change in rounding or in which
-site an error names shows up as a test failure.
+site an error names shows up as a test failure.  ``random_jump_target``
+builds the seeded targets several test modules share.
 """
 
 from __future__ import annotations
@@ -30,6 +31,22 @@ from walkforge.lattice import (
     from_storage_index,
 )
 from walkforge.synthesis import COIN_NORM_TOL, EDGE_CLAMP
+
+
+def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
+    """Master-equation target of random jump probabilities; with p_edge > 0
+    some probabilities are exactly 0 or 1, which empties sites and
+    saturates the flux bound."""
+    slices = [np.array([1.0])]
+    for t in range(horizon):
+        p = rng.uniform(lo, hi, t + 1)
+        edge = rng.random(t + 1) < p_edge
+        p[edge] = rng.integers(0, 2, int(edge.sum()))
+        nxt = np.zeros(t + 2)
+        nxt[1:] += p * slices[-1]
+        nxt[:-1] += (1.0 - p) * slices[-1]
+        slices.append(nxt)
+    return ProbabilitySequence(slices)
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -151,8 +168,9 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
 
     At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
-    convention.  Squared amplitudes below -1e-12 raise
-    :class:`InfeasibleTargetError` (the validator should pre-empt this).
+    convention.  Both components are zero wherever rho is, and so is the
+    amplitude that an empty site passes on.  Squared amplitudes below -1e-12
+    raise :class:`InfeasibleTargetError` (the validator should pre-empt this).
     """
     plus = [np.array([1.0])]
     minus = [np.array([0.0])]
@@ -189,42 +207,47 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
                     "realisable by a nearest-neighbor walk",
                     n=from_storage_index(k, t), t=t)
             np.clip(arr, 0.0, None, out=arr)
+            arr[cur == 0.0] = 0.0
+        wp2[1:][prev == 0.0] = 0.0
+        wm2[:-1][prev == 0.0] = 0.0
         plus.append(np.sqrt(wp2))
         minus.append(np.sqrt(wm2))
     return WaveField(plus, minus)
 
 
 
-def synthesize_coins(rho: ProbabilitySequence, w: WaveField) -> CoinSchedule:
+def synthesize_coins(w: WaveField) -> CoinSchedule:
     """Coin angles theta(n, t) that evolve w from slice t to t + 1.
 
-    cos theta = [psi+(n,t) psi+(n+1,t+1) - psi-(n,t) psi-(n-1,t+1)] / rho,
-    sin theta = [psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1)] / rho,
-    wherever rho(n, t) > 0; theta is recovered with the two-argument
-    arctangent and clamped to [0, pi].  Sites with rho = 0 are undefined.
+    rho cos theta = psi+(n,t) psi+(n+1,t+1) - psi-(n,t) psi-(n-1,t+1),
+    rho sin theta = psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1),
+    with rho = psi+^2 + psi-^2 at (n, t); theta is the two-argument
+    arctangent of the undivided products, clamped to [0, pi].  Sites where
+    psi+ and psi- both vanish are undefined.
     """
-    if w.horizon != rho.horizon:
-        raise IntegrityError("wave field and target have different horizons")
+    tiny = np.finfo(float).tiny
     angles = []
-    for t in range(rho.horizon):
-        rs = rho.slices[t]
+    for t in range(w.horizon):
         wp = w.plus_slices[t]
         wm = w.minus_slices[t]
         wp_next = w.plus_slices[t + 1]
         wm_next = w.minus_slices[t + 1]
         theta = np.full(t + 1, math.nan)
-        mask = rs > 0.0
-        for k in np.flatnonzero(mask):
-            r = rs[k]
-            c = (wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]) / r
-            s = (wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]) / r
-            norm = c * c + s * s
-            if abs(norm - 1.0) > COIN_NORM_TOL:
+        for k in range(t + 1):
+            if wp[k] == 0.0 and wm[k] == 0.0:
+                continue
+            c = wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]
+            s = wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]
+            mass = wp[k] * wp[k] + wm[k] * wm[k]
+            after = wp_next[k + 1] * wp_next[k + 1] + wm_next[k] * wm_next[k]
+            drift = abs(after - mass)
+            scale = max(mass, tiny)
+            if drift > COIN_NORM_TOL * scale:
                 raise IntegrityError(
-                    f"coin at (n={from_storage_index(k, t)}, t={t}) has "
-                    f"cos^2 + sin^2 = {float(norm)!r}; wave field inconsistent "
-                    "with target")
-            if -EDGE_CLAMP <= s < 0.0:
+                    f"coin at (n={from_storage_index(k, t)}, t={t}) changes "
+                    f"the local mass by {float(drift)!r}; wave field "
+                    "inconsistent")
+            if -EDGE_CLAMP * scale <= s < 0.0:
                 s = 0.0
             th = math.atan2(s, c)
             theta[k] = min(max(th, 0.0), math.pi)

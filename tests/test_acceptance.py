@@ -54,7 +54,7 @@ def _max_dev(a: ProbabilitySequence, b: ProbabilitySequence) -> float:
 def test_criterion_1_uniform_qw_round_trip():
     start = time.perf_counter()
     rho = uniform_target(50)
-    coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+    coins = synthesize_coins(reconstruct_wavefield(rho))
     evolved = probability_from_wavefield(evolve_qw(coins))
     dev = _max_dev(evolved, rho)
 
@@ -103,7 +103,7 @@ def test_criterion_3_binomial_interchange():
     for p in (0.3, 0.5, 0.7):
         rho = binomial_target(p, 50)
         field = reconstruct_wavefield(rho)
-        coins = synthesize_coins(rho, field)
+        coins = synthesize_coins(field)
         evolved = probability_from_wavefield(evolve_qw(coins))
         worst_rho = max(worst_rho, _max_dev(evolved, rho))
         for t in range(1, 51):
@@ -297,7 +297,7 @@ def test_criterion_9_property_suites():
         angles = [rng.uniform(0.3, math.pi - 0.3, size=t + 1)
                   for t in range(8)]
         target = probability_from_wavefield(evolve_qw(CoinSchedule(angles)))
-        coins = synthesize_coins(target, reconstruct_wavefield(target))
+        coins = synthesize_coins(reconstruct_wavefield(target))
         back = probability_from_wavefield(evolve_qw(coins))
         closure = max(closure, _max_dev(back, target))
     _verdict(

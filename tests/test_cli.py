@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import walkforge
+from oracles import random_jump_target
 from walkforge import io
 from walkforge.cli import main
 from walkforge.lattice import CoinSchedule, JumpSchedule, ProbabilitySequence
@@ -56,6 +57,28 @@ def test_roundtrip_rw(capsys):
                        "-T", "20", "--walk", "rw")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_roundtrip_qw_binomial_at_T1000(capsys):
+    # From t = 604 the edge of rho is subnormal.
+    code, out, _ = run(capsys, "roundtrip", "--target", "binomial:0.3",
+                       "-T", "1000", "--walk", "qw")
+    assert code == 0
+    assert json.loads(out)["max_error"] < 1e-10
+
+
+def test_roundtrip_with_empty_interior_sites(capsys, tmp_path):
+    rho = random_jump_target(np.random.default_rng(1), 12, p_edge=0.3)
+    path = tmp_path / "target.csv"
+    io.write_field_csv(rho, path)
+    target = f"file:{path}"
+    code, out, _ = run(capsys, "validate", "--target", target)
+    assert code == 0 and json.loads(out)["feasible"] is True
+    for walk in ("rw", "qw"):
+        code, out, _ = run(capsys, "roundtrip", "--target", target,
+                           "--walk", walk)
+        assert code == 0
+        assert json.loads(out)["max_error"] < 1e-10
 
 
 def test_roundtrip_infeasible_target_is_input_error(capsys, tmp_path):

@@ -26,6 +26,7 @@ from walkforge.lattice import (
     WalkError,
     probability_from_wavefield,
     site_positions,
+    slice_offset,
 )
 from walkforge.synthesis import reconstruct_wavefield, synthesize_coins
 from walkforge.targets import binomial_target, uniform_target
@@ -69,7 +70,7 @@ def test_ballistic_coin_moves_right():
 
 def test_real_engine_conserves_at_t50():
     rho = uniform_target(50)
-    coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+    coins = synthesize_coins(reconstruct_wavefield(rho))
     # WaveField construction itself enforces per-slice normalisation.
     field = evolve_qw(coins)
     assert field.horizon == 50
@@ -320,6 +321,19 @@ def test_mc_memory_does_not_grow_with_trajectories():
     assert peaks[1] <= 1.2 * peaks[0]
 
 
+def test_exact_rw_holds_no_copy_of_the_schedule():
+    # rho is one buffer; the NaN -> 0.5 replacement works slice by slice.
+    horizon = 300
+    schedule = JumpSchedule(np.full(slice_offset(horizon), 0.3))
+    tracemalloc.start()
+    try:
+        evolve_rw_exact(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * slice_offset(horizon + 1) * 8
+
+
 def test_mc_sure_thing():
     schedule = JumpSchedule([np.ones(t + 1) for t in range(12)])
     rho, stderr = simulate_rw(schedule,
@@ -344,7 +358,7 @@ def test_flux_bridge_between_representations():
     # cos 2th (psi+^2 - psi-^2) + 2 sin 2th psi+ psi-.
     rho = uniform_target(20)
     field = reconstruct_wavefield(rho)
-    coins = synthesize_coins(rho, field)
+    coins = synthesize_coins(field)
     ja = flux_from_rho(rho)
     jb = flux_from_wavefield(field)
     for t in range(20):

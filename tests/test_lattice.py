@@ -255,6 +255,17 @@ def test_wavefield_requires_edge_zeros():
         "psi+(-1,1) = 0.7, must vanish on the left cone edge"
 
 
+@pytest.mark.parametrize("kind", [WaveField, ComplexWaveField])
+def test_wave_field_norm_overflow_is_an_integrity_error(kind):
+    # The squares are finite; only their slice total overflows.
+    plus = [[1.0], [0.0, 1.0], [0.0, 1e154, 1e154]]
+    minus = [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(IntegrityError) as err:
+        kind(plus, minus)
+    assert str(err.value) == \
+        "wave field norm at t=2 is inf, deviates from 1 beyond 1e-12"
+
+
 def test_probability_from_wavefield_initial_condition():
     w = WaveField([[1.0]], [[0.0]])
     rho = probability_from_wavefield(w)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import random_jump_target
 from walkforge import feasibility, lattice, synthesis
 from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
 from walkforge.lattice import ProbabilitySequence, WalkError
@@ -62,27 +63,11 @@ def check_against_oracles(rho):
     field = outcome(synthesis.reconstruct_wavefield, rho)
     assert_same(field, outcome(oracles.reconstruct_wavefield, rho))
     if not isinstance(field, tuple):
-        assert_same(outcome(synthesis.synthesize_coins, rho, field),
-                    outcome(oracles.synthesize_coins, rho, field), THETA_TOL)
+        assert_same(outcome(synthesis.synthesize_coins, field),
+                    outcome(oracles.synthesize_coins, field), THETA_TOL)
         assert_same(outcome(synthesis.mimic_quantum_walk, field),
                     outcome(oracles.mimic_quantum_walk, field))
     return report
-
-
-def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
-    """Master-equation target of random jump probabilities; with p_edge > 0
-    some probabilities are exactly 0 or 1, which empties sites and
-    saturates the flux bound."""
-    slices = [np.array([1.0])]
-    for t in range(horizon):
-        p = rng.uniform(lo, hi, t + 1)
-        edge = rng.random(t + 1) < p_edge
-        p[edge] = rng.integers(0, 2, int(edge.sum()))
-        nxt = np.zeros(t + 2)
-        nxt[1:] += p * slices[-1]
-        nxt[:-1] += (1.0 - p) * slices[-1]
-        slices.append(nxt)
-    return ProbabilitySequence(slices)
 
 
 def random_coin_target(rng, horizon):

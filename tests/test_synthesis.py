@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from oracles import random_jump_target
 from walkforge.evolve import (
     HomogeneousCoinParams,
     evolve_qw,
     evolve_qw_complex,
     evolve_rw_exact,
 )
+from walkforge.feasibility import validate_sequence
 from walkforge.lattice import (
     InfeasibleTargetError,
     IntegrityError,
+    JumpSchedule,
     ProbabilitySequence,
     WaveField,
+    neighbours,
     probability_from_wavefield,
+    slice_offset,
 )
 from walkforge.synthesis import (
     mimic_quantum_walk,
@@ -80,26 +85,39 @@ def test_infeasible_target_rejected_during_reconstruction():
 
 
 def test_inconsistent_coin_error_prints_a_plain_float():
-    rho = ProbabilitySequence([[1.0], [0.5, 0.5], [0.25, 0.5, 0.25]])
+    # Site (-1, 1) holds mass 0.5, but its successors hold 0 + 0.8^2.
     w = WaveField([[1.0], [0.0, math.sqrt(0.5)], [0.0, 0.0, 0.6]],
                   [[0.0], [math.sqrt(0.5), 0.0], [0.8, 0.0, 0.0]])
     with pytest.raises(IntegrityError) as err:
-        synthesize_coins(rho, w)
+        synthesize_coins(w)
     assert str(err.value) == (
-        "coin at (n=-1, t=1) has cos^2 + sin^2 = 1.2800000000000005; "
-        "wave field inconsistent with target")
+        "coin at (n=-1, t=1) changes the local mass by 0.14; "
+        "wave field inconsistent")
+
+
+def test_subnormal_sites_use_an_absolute_tolerance():
+    # Site (-1, 1) holds mass 1e-320, its successor 1.21e-320: relatively
+    # far apart, but both below the smallest normal, where the tolerance is
+    # COIN_NORM_TOL times that normal.
+    def field(successor):
+        return WaveField([[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+                         [[0.0], [1e-160, 0.0], [successor, 0.0, 0.0]])
+    coins = synthesize_coins(field(1.1e-160))
+    assert coins.value(-1, 1) == math.pi
+    with pytest.raises(IntegrityError, match=r"\(n=-1, t=1\)"):
+        synthesize_coins(field(1e-155))
 
 
 def test_uniform_coin_examples():
     rho = uniform_target(6)
-    coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+    coins = synthesize_coins(reconstruct_wavefield(rho))
     assert coins.value(0, 0) == pytest.approx(math.pi / 4, abs=1e-15)
     assert coins.value(0, 2) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_uniform_round_trip():
     rho = uniform_target(50)
-    coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+    coins = synthesize_coins(reconstruct_wavefield(rho))
     back = probability_from_wavefield(evolve_qw(coins))
     worst = max(float(np.max(np.abs(back.slices[t] - rho.slices[t])))
                 for t in range(51))
@@ -112,7 +130,7 @@ def test_uniform_round_trip_at_T2000(walk):
     # the partial sums and the flux recursion has had 2000 slices to grow.
     rho = uniform_target(2000)
     if walk == "qw":
-        coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+        coins = synthesize_coins(reconstruct_wavefield(rho))
         back = probability_from_wavefield(evolve_qw(coins))
     else:
         back = evolve_rw_exact(synthesize_jumps(rho))
@@ -124,11 +142,51 @@ def test_uniform_round_trip_at_T2000(walk):
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.71])
 def test_binomial_round_trip(p):
     rho = binomial_target(p, 50)
-    coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+    coins = synthesize_coins(reconstruct_wavefield(rho))
     back = probability_from_wavefield(evolve_qw(coins))
     worst = max(float(np.max(np.abs(back.slices[t] - rho.slices[t])))
                 for t in range(51))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_empty_interior_sites_round_trip(seed):
+    # Some jump probabilities are exactly 0 or 1, which empties sites inside
+    # the cone; their partial-sum residues must not survive as amplitude.
+    rho = random_jump_target(np.random.default_rng(seed), 60, p_edge=0.3)
+    assert validate_sequence(rho).feasible
+    empty = rho.buf == 0.0
+    assert empty.any()
+    w = reconstruct_wavefield(rho)
+    assert not w.plus_buf[empty].any() and not w.minus_buf[empty].any()
+    # Nor does an empty site pass any amplitude on.
+    m = slice_offset(rho.horizon)
+    assert not neighbours(w.plus_buf, 1)[empty[:m]].any()
+    assert not neighbours(w.minus_buf, -1)[empty[:m]].any()
+    back = probability_from_wavefield(evolve_qw(synthesize_coins(w)))
+    assert np.max(np.abs(back.buf - rho.buf)) < 1e-10
+
+
+def test_random_jump_round_trip_at_T1000():
+    # rho underflows to subnormal values near the cone edges from t ~ 800.
+    rho = random_jump_target(np.random.default_rng(0), 1000)
+    assert ((0.0 < rho.buf) & (rho.buf < np.finfo(float).tiny)).any()
+    coins = synthesize_coins(reconstruct_wavefield(rho))
+    back = probability_from_wavefield(evolve_qw(coins))
+    assert np.max(np.abs(back.buf - rho.buf)) < 1e-10
+
+
+def test_small_interior_density_round_trip():
+    # rho(0, 16) = 4e-13 sits between partial sums near 0.5, which carry
+    # absolute rounding of about 1e-17: far from its own relative accuracy.
+    rng = np.random.default_rng(0)
+    probs = [rng.uniform(0.2, 0.8, t + 1) for t in range(30)]
+    probs[15][7:9] = 1e-12, 1.0 - 1e-12
+    rho = evolve_rw_exact(JumpSchedule(probs))
+    assert rho.value(0, 16) < 1e-12
+    back = probability_from_wavefield(
+        evolve_qw(synthesize_coins(reconstruct_wavefield(rho))))
+    assert np.max(np.abs(back.buf - rho.buf)) < 1e-10
 
 
 def test_uniform_jump_closed_form():
@@ -218,7 +276,7 @@ def test_randomised_closure():
         from walkforge.lattice import CoinSchedule
         schedule = CoinSchedule(angles)
         rho = probability_from_wavefield(evolve_qw(schedule))
-        coins = synthesize_coins(rho, reconstruct_wavefield(rho))
+        coins = synthesize_coins(reconstruct_wavefield(rho))
         back = probability_from_wavefield(evolve_qw(coins))
         for t in range(horizon + 1):
             worst = max(worst, float(np.max(
