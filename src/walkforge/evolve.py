@@ -3,10 +3,10 @@ random walks.
 
 Four routes are kept side by side because they serve as one another's
 oracles: the real inhomogeneous recursion, the complex homogeneous
-recursion, the closed-form solution built from the trigonometric kernel
-``lambda_kernel``, and the exact classical master equation.  Monte Carlo
-trajectories use per-trajectory counter-based substreams keyed by
-(master seed, trajectory index) and advance in blocks that add integer
+recursion, the closed form built from the trigonometric kernel Lambda (one
+FFT per slice, O(T^2 log T)), and the exact classical master equation.
+Monte Carlo trajectories use per-trajectory counter-based substreams keyed
+by (master seed, trajectory index) and advance in blocks that add integer
 counts, so the sample is bit-identical for any block size.
 """
 
@@ -40,9 +40,9 @@ DEAD_AMPLITUDE = 1e-12
 # Trajectories per Monte Carlo block: it bounds memory, not the sample.
 _MC_BLOCK = 2048
 
-# The closed-form kernel degenerates for ballistic coins; below this
-# |sin theta| the recursion engine is used instead.
-MIN_SIN_THETA = 1e-9
+# The kernel's terms, and their rounding, grow like 1 / |sin theta| toward
+# ballistic coins; below this |sin theta| the closed form uses the recursion.
+MIN_SIN_THETA = 1e-2
 
 
 @dataclass(frozen=True)
@@ -162,32 +162,45 @@ def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWav
     return ComplexWaveField(plus, minus)
 
 
-def lambda_slice(theta: float, t: int, ns: np.ndarray) -> np.ndarray:
-    """Vectorised kernel values Lambda(n, t) for an array of positions."""
-    ns = np.asarray(ns, dtype=float)
-    even_term = 0.5 * (1.0 + (-1.0) ** t)
-    if t == 0:
-        return np.full(ns.shape, even_term)
-    r = np.arange(1, t + 1, dtype=float)
-    omega = np.arcsin(math.cos(theta) * np.sin(math.pi * r / (t + 1)))
-    sec = 1.0 / np.cos(omega)
-    phases = (t - 1) * omega[:, None] - math.pi * np.outer(r, ns) / (t + 1)
-    return (even_term + (sec[:, None] * np.cos(phases)).sum(axis=0)) / (t + 1)
+def _kernel_terms(theta: float, t: int):
+    """x_r = pi r / (t + 1), omega_r and sec omega_r for r = 1..t, where
+    sin omega_r = cos theta sin x_r.  cos omega_r is a hypot, not the cosine
+    of an arcsin, so it keeps its digits as theta nears 0 or pi."""
+    x = np.pi * np.arange(1, t + 1) / (t + 1)
+    cos_omega = np.hypot(math.sin(theta), math.cos(theta) * np.cos(x))
+    omega = np.arctan2(math.cos(theta) * np.sin(x), cos_omega)
+    return x, omega, 1.0 / cos_omega
+
+
+def lambda_slice(theta: float, t: int) -> np.ndarray:
+    """Lambda(n, t) at the support sites n = 2k - t, k = 0..t, by one FFT.
+
+    With n = 2k - t the sum over r is a length-(t + 1) DFT in k:
+    Lambda = [(1 + (-1)^t) / 2 + Re FFT(a)] / (t + 1), where a_0 = 0 and
+    a_r = sec omega_r e^{i((t - 1) omega_r + t x_r)}.
+    """
+    x, omega, sec = _kernel_terms(theta, t)
+    a = np.zeros(t + 1, dtype=complex)
+    a[1:] = sec * np.exp(1j * ((t - 1) * omega + t * x))
+    return (0.5 * (1 + (-1) ** t) + np.fft.fft(a).real) / (t + 1)
 
 
 def lambda_kernel(n: int, t: int, theta: float) -> float:
-    """Scalar kernel Lambda(n, t) of the closed-form homogeneous solution."""
+    """Scalar kernel Lambda(n, t) of the closed-form homogeneous solution,
+    summed directly over r; n may lie off the support."""
     if abs(n) > t:
         raise WalkError(f"lambda_kernel requires |n| <= t, got n={n}, t={t}")
-    return float(lambda_slice(theta, t, np.array([n]))[0])
+    x, omega, sec = _kernel_terms(theta, t)
+    return float((0.5 * (1 + (-1) ** t)
+                  + np.sum(sec * np.cos((t - 1) * omega - n * x))) / (t + 1))
 
 
 def closed_form_wavefield(params: HomogeneousCoinParams,
                           horizon: int) -> ComplexWaveField:
     """Assemble the complex wave field from the Lambda kernel.
 
-    Falls back to the recursion engine when |sin theta| < 1e-9, where the
-    kernel's secants blow up while the walk itself is merely ballistic.
+    Falls back to the recursion engine when |sin theta| < MIN_SIN_THETA,
+    where the kernel's secants blow up while the walk is merely ballistic.
     """
     _check_horizon(horizon)
     if abs(math.sin(params.theta)) < MIN_SIN_THETA:
@@ -204,12 +217,12 @@ def closed_form_wavefield(params: HomogeneousCoinParams,
         - np.exp(1j * (params.gamma - alpha)) * math.sin(params.eta) * c)
     plus = np.empty(slice_offset(horizon + 1), dtype=complex)
     minus = np.empty_like(plus)
-    lam = lambda_slice(params.theta, 0, site_positions(0))
+    lam = lambda_slice(params.theta, 0)
     for t, (wp, wm) in enumerate(zip(split_slices(plus),
                                      split_slices(minus))):
         # Lambda(n -+ 1, t + 1) at the sites n of slice t are the first and
         # the last t + 1 values of slice t + 1, which is the next lam.
-        nxt = lambda_slice(params.theta, t + 1, site_positions(t + 1))
+        nxt = lambda_slice(params.theta, t + 1)
         # The minus component carries e^{i alpha n}, not e^{-i alpha n}: only
         # this convention reproduces the defining recursion (checked against
         # the step-by-step engine for random parameters).

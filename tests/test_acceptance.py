@@ -189,12 +189,14 @@ def test_criterion_6_lambda_identities():
         c = math.cos(theta)
         for t in range(0, 41):
             # The recursion couples kernel values on the n + t even
-            # sublattice, which is the only region the solution ever reads.
-            ns = site_positions(t)
-            lam = lambda_slice(theta, t, ns)
-            lam_r = lambda_slice(theta, t + 1, ns + 1)
-            lam_l = lambda_slice(theta, t + 1, ns - 1)
-            lam_2 = lambda_slice(theta, t + 2, ns)
+            # sublattice, which is the only region the solution ever reads:
+            # at the sites n of slice t, Lambda(n -+ 1, t + 1) is slice
+            # t + 1 less its last or first value, and Lambda(n, t + 2) is
+            # slice t + 2 less both ends.
+            lam = lambda_slice(theta, t)
+            lam_r = lambda_slice(theta, t + 1)[1:]
+            lam_l = lambda_slice(theta, t + 1)[:-1]
+            lam_2 = lambda_slice(theta, t + 2)[1:-1]
             worst_rec = max(worst_rec, float(np.max(
                 np.abs(lam - (c * (lam_r - lam_l) + lam_2)))))
 
@@ -203,10 +205,9 @@ def test_criterion_6_lambda_identities():
         closed_form_wavefield(EXACT_SYMMETRIC, 40))
     worst_hw = 0.0
     for t in range(41):
-        ns = site_positions(t)
-        ref = (0.5 * lambda_slice(theta, t + 1, ns + 1) ** 2
-               + 0.5 * lambda_slice(theta, t + 1, ns - 1) ** 2
-               + lambda_slice(theta, t, ns) * lambda_slice(theta, t + 2, ns))
+        nxt = lambda_slice(theta, t + 1)
+        ref = (0.5 * nxt[1:] ** 2 + 0.5 * nxt[:-1] ** 2
+               + lambda_slice(theta, t) * lambda_slice(theta, t + 2)[1:-1])
         worst_hw = max(worst_hw,
                        float(np.max(np.abs(rho.slices[t] - ref))))
     _verdict(

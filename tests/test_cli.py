@@ -159,6 +159,17 @@ def test_hadamard_routes_agree(capsys):
         assert np.allclose(sa, sb, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.02, 1e-3, 1e-5])
+def test_hadamard_closed_form_near_ballistic_coin(capsys, theta):
+    # 0.02 runs the kernel; 1e-3 and 1e-5 fall back to the recursion.
+    args = ["hadamard", "--theta", repr(theta), "--eta", "0.4", "-T", "360"]
+    code, out_a, _ = run(capsys, *args, "--recursion")
+    code_b, out_b, err = run(capsys, *args, "--closed-form")
+    assert code == 0 and code_b == 0, err
+    for sa, sb in zip(json.loads(out_a)["slices"], json.loads(out_b)["slices"]):
+        assert np.max(np.abs(np.subtract(sa, sb))) < 1e-10
+
+
 @pytest.mark.parametrize("route", ["--recursion", "--closed-form",
                                    "--asymptotic"])
 def test_hadamard_requires_horizon(capsys, route):

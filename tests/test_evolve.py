@@ -144,11 +144,10 @@ def test_lambda_recursion_on_support(theta):
     c = math.cos(theta)
     worst = 0.0
     for t in range(0, 30):
-        ns = site_positions(t)
-        lam = lambda_slice(theta, t, ns)
-        lam_r = lambda_slice(theta, t + 1, ns + 1)
-        lam_l = lambda_slice(theta, t + 1, ns - 1)
-        lam_2 = lambda_slice(theta, t + 2, ns)
+        lam = lambda_slice(theta, t)
+        lam_r = lambda_slice(theta, t + 1)[1:]
+        lam_l = lambda_slice(theta, t + 1)[:-1]
+        lam_2 = lambda_slice(theta, t + 2)[1:-1]
         gap = np.max(np.abs(lam - (c * (lam_r - lam_l) + lam_2)))
         worst = max(worst, float(gap))
     assert worst < 1e-12
@@ -167,6 +166,29 @@ def test_closed_form_matches_recursion():
             assert np.allclose(a.plus_slices[t], b.plus_slices[t], atol=1e-12)
             assert np.allclose(a.minus_slices[t], b.minus_slices[t],
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.02, 0.3, 0.7, 1.2, math.pi - 0.02])
+def test_lambda_slice_matches_direct_sum(theta):
+    # The FFT slice against the definition, summed over r site by site.
+    worst = 0.0
+    for t in [*range(65), 359, 360, 1000]:
+        direct = [lambda_kernel(2 * k - t, t, theta) for k in range(t + 1)]
+        worst = max(worst, float(np.max(np.abs(
+            lambda_slice(theta, t) - direct))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.02, 0.7, math.pi - 0.02])
+def test_closed_form_matches_recursion_at_T1000(theta):
+    eta, gamma, alpha, beta, chi = np.random.default_rng(1000).uniform(
+        0, 2 * math.pi, 5)
+    params = HomogeneousCoinParams(theta, eta, gamma, alpha=alpha, beta=beta,
+                                   chi=chi)
+    a = closed_form_wavefield(params, 1000)
+    b = evolve_qw_complex(params, 1000)
+    assert np.max(np.abs(a.plus_buf - b.plus_buf)) < 1e-10
+    assert np.max(np.abs(a.minus_buf - b.minus_buf)) < 1e-10
 
 
 def test_closed_form_ballistic_fallback():
