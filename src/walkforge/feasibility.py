@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (FluxField, IntegrityError, ProbabilitySequence,
-                      WalkError, flat_sites, neighbours, slice_offset,
-                      split_slices)
+                      WalkError, _blocks, flat_sites, neighbours,
+                      slice_offset)
 
 DEFAULT_TOL = 1e-10
 
@@ -38,26 +38,40 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
         signals a non-conserving input.
     """
     flux = np.empty(slice_offset(rho.horizon))
-    for t, (js, cur, nxt) in enumerate(zip(split_slices(flux), rho.slices,
-                                           rho.slices[1:])):
-        # Row k holds the three terms the recursion adds, in order, to step
-        # from site k to k + 1; one cumsum over the rows, read at every third
-        # entry, repeats the scalar recursion's roundings exactly.
-        steps = np.stack((cur[:-1], cur[1:], -2.0 * nxt[1:-1]), axis=1)
-        ltr = np.cumsum(np.concatenate(
-            ([cur[0] - 2.0 * nxt[0]], steps.ravel())))[::3]
-        rtl = np.cumsum(np.concatenate(
-            ([2.0 * nxt[t + 1] - cur[t]], -steps[::-1].ravel())))[::-3]
-        gap = float(np.max(np.abs(ltr - rtl))) if t else abs(ltr[0] - rtl[0])
-        if gap > PASS_AGREEMENT:
+    for a, x in _blocks(rho.slices, extra=1):
+        # Row i: cur = slice t = a + i, nxt = slice t + 1, zero-padded to m.
+        # Triple k of a row of ltr holds the terms the recursion adds, in
+        # order, from site k to k + 1; a cumsum along the row read at every
+        # third entry repeats the scalar recursion's roundings exactly.  The
+        # right-to-left pass adds the triples negated in reverse order; the
+        # first padding triple, (cur[t], 0, -2 nxt[t + 1]), negated after
+        # the zeros before it, starts it with 2 nxt[t + 1] - cur[t].
+        cur, nxt = x[:-1], x[1:]
+        steps, m = cur.shape
+        ltr, rtl = np.empty((2, steps, 3 * m - 2))
+        ltr[:, 0], rtl[:, 0] = cur[:, 0] - 2.0 * nxt[:, 0], 0.0
+        terms = ltr[:, 1:].reshape(steps, m - 1, 3)
+        terms[..., 0], terms[..., 1] = cur[:, :-1], cur[:, 1:]
+        np.multiply(nxt[:, 1:], -2.0, out=terms[..., 2])
+        terms = rtl[:, 1:].reshape(steps, m - 1, 3)
+        np.negative(cur[:, -2::-1], out=terms[..., 0])
+        np.negative(cur[:, :0:-1], out=terms[..., 1])
+        np.multiply(nxt[:, :0:-1], 2.0, out=terms[..., 2])
+        ltr = np.cumsum(ltr, axis=1, out=ltr)[:, ::3]
+        rtl = np.cumsum(rtl, axis=1, out=rtl)[:, ::-3]
+        sites = np.arange(m) <= np.arange(a, a + steps)[:, None]
+        gap = np.max(np.abs(ltr - rtl), axis=1, where=sites, initial=0.0)
+        if (gap > PASS_AGREEMENT).any():
+            i = int(np.argmax(gap > PASS_AGREEMENT))
             raise IntegrityError(
-                f"flux recursions disagree by {gap:.3e} at t={t}; "
+                f"flux recursions disagree by {gap[i]:.3e} at t={a + i}; "
                 "input sequence does not conserve probability")
         # Each pass accumulates rounding noise proportional to the mass it
         # has swept over, so take every value from the pass anchored at the
         # nearer cone edge; this preserves the relative accuracy of fluxes
         # through low-probability tails.
-        js[:] = np.where(np.cumsum(cur) <= 0.5, ltr, rtl)
+        flux[slice_offset(a):slice_offset(a + steps)] = np.where(
+            np.cumsum(cur, axis=1) <= 0.5, ltr, rtl)[sites]
     return FluxField(flux)
 
 
@@ -82,6 +96,8 @@ class FeasibilityReport:
     # Sites with rho = 0 (and |J| <= tol): feasible with undefined local
     # dynamics.
     undefined_sites: tuple[tuple[int, int], ...] = field(default=())
+    # The flux the check was made on, for jump synthesis to reuse.
+    _flux: FluxField | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +117,8 @@ def validate_sequence(rho: ProbabilitySequence,
     """
     if not tol >= 0:  # NaN fails every comparison
         raise WalkError(f"tol must be >= 0, got {tol!r}")
-    js = flux_from_rho(rho).buf
+    flux = flux_from_rho(rho)
+    js = flux.buf
     rs = rho.buf[:len(js)]
     aj = np.abs(js)
     zero = rs == 0.0
@@ -121,6 +138,7 @@ def validate_sequence(rho: ProbabilitySequence,
         violations=violations,
         boundary_sites=sites(boundary),
         undefined_sites=sites(undefined),
+        _flux=flux,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from contextlib import nullcontext
 from itertools import compress
 from operator import itemgetter
@@ -92,30 +93,18 @@ def _parse_prefix(items, columns):
         raise
 
 
-def _check_sites(t, n, lineno) -> np.ndarray:
-    """Flat slice-order index t(t+1)/2 + k of each site (t, n).
-
-    Raises :class:`FormatError` for the first site that is off-support or a
-    repeat of an earlier site, naming its row ``lineno[i]``.
-    """
+def _flat_sites(t, n) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slice-order index t(t+1)/2 + k of each site (t, n), and where
+    a site is off-support or a repeat of an earlier site."""
     flat = slice_offset(t) + (n + t) // 2
     repeated = np.ones(len(flat), dtype=bool)
     repeated[np.unique(flat, return_index=True)[1]] = False
-    bad = (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
-    if bad.any():
-        i = int(np.argmax(bad))
-        ti, ni = int(t[i]), int(n[i])
-        try:
-            to_storage_index(ni, ti)
-        except SupportError as exc:
-            raise FormatError(f"row {lineno[i]}: {exc}") from None
-        raise FormatError(f"row {lineno[i]}: duplicate entry for "
-                          f"(n={ni}, t={ti})")
-    return flat
+    return flat, (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
 
 
-def _read_csv_buffer(path) -> np.ndarray:
-    """The slice-order buffer of a t,n,value CSV file; missing sites are 0.
+def _parse_csv(path):
+    """The t column, flat site indices and values of a t,n,value CSV file,
+    row by row.
 
     Rows are numbered as csv.reader counts them (the header is row 1 and
     blank rows count); of several faults, the first row's is reported.
@@ -130,9 +119,55 @@ def _read_csv_buffer(path) -> np.ndarray:
     if not rows:
         raise FormatError(f"{path}: no data rows")
     (t, n, vals), m, exc = _parse_prefix(rows, _csv_columns)
-    flat = _check_sites(t, n, lineno)
+    flat, bad = _flat_sites(t, n)
+    if bad.any():  # the first bad site comes before the first bad row
+        i = int(np.argmax(bad))
+        ti, ni = int(t[i]), int(n[i])
+        try:
+            to_storage_index(ni, ti)
+        except SupportError as site_error:
+            raise FormatError(f"row {lineno[i]}: {site_error}") from None
+        raise FormatError(f"row {lineno[i]}: duplicate entry for "
+                          f"(n={ni}, t={ti})")
     if exc is not None:
         raise FormatError(f"row {lineno[m]}: {exc}")
+    return t, flat, vals
+
+
+# The bytes of a file that np.loadtxt reads as _parse_csv does: ASCII but
+# NUL and the quote, which csv.reader treats specially, and \x1c-\x1f, which
+# np.loadtxt alone strips as whitespace.  It reads some non-ASCII letters as
+# digits.
+_PLAIN_BYTES = bytes(set(range(128)) - set(b'\0\x1c\x1d\x1e\x1f"'))
+
+_CSV_DTYPE = np.dtype([("t", np.int64), ("n", np.int64), ("value", float)])
+
+
+def _load_csv(path):
+    """What :func:`_parse_csv` returns, parsed in bulk by np.loadtxt, or None
+    where that may differ: the file holds other than plain bytes, or the
+    bulk parse fails, finds no rows or a fault among the sites, which
+    _parse_csv then reports with its row."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+    with open(path, newline="") as fh:
+        fh.readline()  # the header
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no rows: a UserWarning
+                cols = np.loadtxt(fh, _CSV_DTYPE, delimiter=",",
+                                  comments=None, quotechar=None, ndmin=1)
+        except (*_PARSE_ERRORS, Warning):
+            return None
+    flat, bad = _flat_sites(cols["t"], cols["n"])
+    return None if bad.any() else (cols["t"], flat, cols["value"])
+
+
+def _read_csv_buffer(path) -> np.ndarray:
+    """The slice-order buffer of a t,n,value CSV file; missing sites are 0."""
+    t, flat, vals = _load_csv(path) or _parse_csv(path)
     # Every t >= 0 here.  A slice without rows is named before the buffer,
     # sized by the largest t, is allocated.
     present = np.unique(t)

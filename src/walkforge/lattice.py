@@ -15,10 +15,13 @@ in this module.
 All containers are immutable after construction (the buffers and their
 views are read-only) and therefore safe to share across threads.
 
-Accumulations over a time slice use compensated summation (``math.fsum`` for
-one-shot totals, a vectorized cascaded TwoSum ``cumsum`` for prefix/suffix
-tables) so that normalisation drift stays below test tolerances for horizons
-up to 10^4.
+Sums over time slices run batched: blocks of slices are copied into one
+reused 2-D scratch array and summed by one ``cumsum`` along its rows, which
+still adds each slice strictly left to right.  Prefix and suffix tables are
+compensated by cascaded TwoSum, and slice totals are exactly rounded: the
+cascaded total, certified against its error bound, or ``math.fsum`` where
+that cannot decide.  Normalisation drift thus stays below test tolerances
+for horizons up to 10^4.
 """
 
 from __future__ import annotations
@@ -135,30 +138,108 @@ def neighbours(buf: np.ndarray, dn: int) -> np.ndarray:
     return np.delete(buf, first if dn > 0 else first + np.arange(len(first)))
 
 
+# A batched scan copies up to _BLOCK slices at a time, fewer where they
+# are wide: a block holds about _BLOCK_SIZE entries at most, so that it and
+# its temporaries stay in cache.  At T = 10^4, blocks of 16 whole slices made
+# flux_from_rho take 5.5 s, against 3.1 s for blocks of 3 (2-core VM).
+_BLOCK = 16
+_BLOCK_SIZE = 1 << 15
+
+
+def _blocks(slices, extra: int = 0):
+    """``slices`` t = 0, 1, ..., of t + 1 entries each, copied a block at a
+    time into one reused 2-D scratch array, one per row, left-aligned and
+    zero-padded: pairs (a, x), x holding slices a, a + 1, ... and after them
+    ``extra`` more, where there are.  Adding zero is exact, so a ``cumsum``
+    along a row adds its slice left to right as a 1-D one would.  Each x is
+    overwritten by the next."""
+    scratch = np.empty((_BLOCK + extra) * len(slices))
+    a = 0
+    while a < len(slices) - extra:
+        step = max(1, min(_BLOCK, _BLOCK_SIZE // (a + 1)))
+        rows = min(step + extra, len(slices) - a)
+        x = scratch[:rows * (a + rows)].reshape(rows, a + rows)
+        for t, row in enumerate(x, a):
+            row[:t + 1] = slices[t]
+            row[t + 1:] = 0.0
+        yield a, x
+        a += step
+
+
+def _cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = cumsum(x) along the last axis, and the exact rounding error
+    err[..., k] of each step s[..., k] = s[..., k - 1] + x[..., k] (TwoSum;
+    err[..., 0] = 0), so that sum(x[..., :k + 1]) = s[..., k] +
+    sum(err[..., :k + 1]) exactly: the cascaded summation of Ogita, Rump and
+    Oishi, "Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005.
+    x, C-contiguous, is overwritten.
+    """
+    s = np.cumsum(x, axis=-1)
+    err = np.empty_like(s)
+    # On the flattened arrays, one step per entry: TwoSum of prev + x is
+    # (prev - (s - b)) + (x - b), b = s - prev, in place.  Each row's first
+    # entry pairs with the end of the row before, so it is reset after.
+    s1, x1, e = s.reshape(-1), x.reshape(-1)[1:], err.reshape(-1)[1:]
+    x1 -= np.subtract(s1[1:], s1[:-1], out=e)
+    np.subtract(s1[:-1], np.subtract(s1[1:], e, out=e), out=e)
+    e += x1
+    err[..., :1] = 0.0
+    return s, err
+
+
 def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums; out[k] = sum(values[:k + 1]).
+    """Compensated prefix sums along the last axis;
+    out[..., k] = sum(values[..., :k + 1]).
 
     The plain ``cumsum`` is corrected by the running sum of the exact
-    rounding error of each step (TwoSum): the cascaded summation of Ogita,
-    Rump and Oishi, "Accurate Sum and Dot Product", SIAM J. Sci. Comput.
-    26(6), 2005.  Both ``cumsum`` calls accumulate strictly left to right,
-    so the result equals a scalar Neumaier scan bit for bit.
+    rounding error of each step (:func:`_cascade`).  Both ``cumsum`` calls
+    accumulate strictly left to right, so each row equals a scalar Neumaier
+    scan bit for bit.
     """
-    x = np.asarray(values, dtype=float)
-    s = np.cumsum(x)
-    prev = np.empty_like(s)
-    prev[:1] = 0.0
-    prev[1:] = s[:-1]
-    b = s - prev
-    err = (prev - (s - b)) + (x - b)
-    return s + np.cumsum(err)
+    s, err = _cascade(np.array(values, dtype=float, order="C"))
+    return s + np.cumsum(err, axis=-1)
 
 
 def suffix_sums(values: np.ndarray) -> np.ndarray:
-    """Compensated suffix sums with sentinel: out[k] = sum(values[k:]),
-    out[len(values)] = 0."""
-    rev = prefix_sums(np.asarray(values, dtype=float)[::-1])
-    return np.concatenate((rev[::-1], [0.0]))
+    """Compensated suffix sums along the last axis, with a zero sentinel:
+    out[..., k] = sum(values[..., k:]), out[..., -1] = 0."""
+    x = np.asarray(values, dtype=float)
+    reversed_ = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    reversed_[..., 1:] = x[..., ::-1]
+    return prefix_sums(reversed_)[..., ::-1]
+
+
+def _totals(buf: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each slice of a slice-order buffer, inf where that
+    overflows.
+
+    The cascaded sum of a slice is hi + lo, with lo the sum of its step
+    errors, off the exact total by at most ``bound``, the error of summing
+    those.  The rounded hi + lo is then the exactly rounded total unless the
+    exact total may lie beyond a rounding boundary: near a tie, or where
+    hi + lo is not finite.  Only such slices are summed again by fsum.
+    """
+    slices = split_slices(buf)
+    hi, lo, bound = np.empty((3, len(slices)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, x in _blocks(slices):
+            s, err = _cascade(x)
+            rows = slice(a, a + len(x))
+            hi[rows], lo[rows] = s[:, -1], err.sum(axis=1)
+            bound[rows] = np.abs(err, out=err).sum(axis=1)
+        # Summing the t step errors of slice t errs by at most about
+        # (t - 1) 2**-53 times their summed magnitude; (t + 1) 2**-52 also
+        # covers the rounding of the bound itself.
+        bound *= 2.0 ** -52 * np.arange(1, len(bound) + 1)
+        s, err = _cascade(np.stack((hi, lo), axis=1))
+        total, r = s[:, 1], err[:, 1]  # total + r = hi + lo exactly
+        up = np.nextafter(total, math.inf) - total
+        down = total - np.nextafter(total, -math.inf)
+        certain = ((2.0 * (r + bound) < up) & (2.0 * (bound - r) < down)
+                   & (up + down < math.inf))
+    for t in np.flatnonzero(~certain):
+        total[t] = _total(slices[t])
+    return total
 
 
 def _first_fault(mask: np.ndarray) -> tuple[int, int, int]:
@@ -251,24 +332,24 @@ class ProbabilitySequence(_SliceData):
 
     def __init__(self, slices, *, renormalize: bool = False):
         buf = _buffer(slices, "ProbabilitySequence", min_slices=1)
-        bad = buf < -NEG_CLAMP
-        if bad.any():
-            i, n, t = _first_fault(bad)
+        if (buf < -NEG_CLAMP).any():
+            i, n, t = _first_fault(buf < -NEG_CLAMP)
             raise InfeasibleTargetError(
                 f"negative probability {buf[i]:.3e} at (n={n}, t={t})",
                 n=n, t=t)
         buf = np.clip(buf, 0.0, None, out=buf if buf.flags.writeable else None)
         # The exactly rounded total of each slice is also its divisor, so
         # it fixes the bits of a renormalised sequence (x / 1.0 is x).
-        totals = [_total(s) for s in split_slices(buf)]
+        totals = _totals(buf)
         accept_tol = 1e-9 if renormalize else NORM_TOL
-        for t, total in enumerate(totals):
-            if abs(total - 1.0) > accept_tol:
-                raise FormatError(
-                    f"slice t={t} sums to {total!r}, deviates from 1 by more "
-                    f"than {accept_tol:g}")
+        drift = np.abs(totals - 1.0)  # NaN, from a NaN entry, passes here
+        if (drift > accept_tol).any():
+            t = int(np.argmax(drift > accept_tol))
+            raise FormatError(
+                f"slice t={t} sums to {float(totals[t])!r}, deviates from 1 "
+                f"by more than {accept_tol:g}")
         if renormalize:
-            divisors = [x if abs(x - 1.0) > 1e-15 else 1.0 for x in totals]
+            divisors = np.where(drift > 1e-15, totals, 1.0)
             buf = buf / np.repeat(divisors, np.arange(1, len(totals) + 1))
         _check_finite(buf, "ProbabilitySequence")
         self._buf = buf
@@ -293,14 +374,14 @@ class _WaveBase:
         _check_finite(self._minus_buf, name + ".minus")
         if len(self._plus_buf) != len(self._minus_buf):
             raise FormatError("plus and minus components differ in horizon")
-        for t, (p2, m2) in enumerate(zip(
-                split_slices(np.abs(self._plus_buf) ** 2),
-                split_slices(np.abs(self._minus_buf) ** 2))):
-            norm = _total(p2) + _total(m2)
-            if abs(norm - 1.0) > NORM_TOL:
-                raise IntegrityError(
-                    f"wave field norm at t={t} is {norm!r}, deviates from 1 "
-                    f"beyond {NORM_TOL:g}")
+        norm = (_totals(np.abs(self._plus_buf) ** 2)
+                + _totals(np.abs(self._minus_buf) ** 2))
+        bad = np.abs(norm - 1.0) > NORM_TOL
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise IntegrityError(
+                f"wave field norm at t={t} is {float(norm[t])!r}, deviates "
+                f"from 1 beyond {NORM_TOL:g}")
         self._plus = _freeze(self._plus_buf)
         self._minus = _freeze(self._minus_buf)
 

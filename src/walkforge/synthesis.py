@@ -18,17 +18,19 @@ import numpy as np
 from .feasibility import flux_from_rho
 from .lattice import (
     CoinSchedule,
+    FluxField,
     InfeasibleTargetError,
     IntegrityError,
     JumpSchedule,
     NEG_CLAMP,
     ProbabilitySequence,
     WaveField,
+    _blocks,
     _first_fault,
+    flat_sites,
     neighbours,
     prefix_sums,
     slice_offset,
-    split_slices,
     suffix_sums,
 )
 
@@ -47,24 +49,27 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     convention.  Squared amplitudes below -1e-12 raise
     :class:`InfeasibleTargetError` (the validator should pre-empt this).
     """
-    plus = np.zeros(slice_offset(rho.horizon + 1))  # squared until the end
-    minus = np.zeros_like(plus)
-    plus[0] = 1.0
-    wp2, wm2 = split_slices(plus), split_slices(minus)
-    suf_c, pre_c = suffix_sums(rho.slices[0]), prefix_sums(rho.slices[0])
-    for t, cur in enumerate(rho.slices[1:], 1):
-        suf_p, pre_p = suf_c, pre_c
-        suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
-        pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
-        left_p = np.concatenate(([0.0], pre_p))  # sum_{j < k}
-        left_c = np.concatenate(([0.0], pre_c[:-1]))
+    plus = np.empty(slice_offset(rho.horizon + 1))  # squared until the end
+    minus = np.empty_like(plus)
+    plus[0], minus[0] = 1.0, 0.0
+    for a, x in _blocks(rho.slices, extra=1):
+        # Rows of x are slices a, a + 1, ..., zero-padded: row i + 1 is cur,
+        # slice t = a + i + 1, and row i is prev, slice t - 1.
+        pre = prefix_sums(x)            # pre[i, k] = sum_{j <= k} x[i, j]
+        suf = suffix_sums(x)            # suf[i, k] = sum_{j >= k} x[i, j]
+        left = np.zeros_like(pre)       # sum_{j < k}
+        left[:, 1:] = pre[:, :-1]
+        suf_p, suf_c = suf[:-1, :-1], suf[1:, :-1]
         # Each value comes from the partial sums anchored at the nearer cone
         # edge, which keeps low-probability tails relatively accurate.
         # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
-        wp2[t][:] = np.where(suf_c[:-1] <= 0.5, suf_c[:-1] - suf_p,
-                             left_p - left_c)
+        wp2 = np.where(suf_c <= 0.5, suf_c - suf_p, left[:-1] - left[1:])
         # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
-        wm2[t][:] = np.where(pre_c <= 0.5, pre_c - left_p, suf_p - suf_c[1:])
+        wm2 = np.where(pre[1:] <= 0.5, pre[1:] - left[:-1],
+                       suf_p - suf[1:, 1:])
+        sites = np.arange(x.shape[1]) <= np.arange(a + 1, a + len(x))[:, None]
+        rows = slice(slice_offset(a + 1), slice_offset(a + len(x)))
+        plus[rows], minus[rows] = wp2[sites], wm2[sites]
     # The earliest slice's fault, psi+ first: min keeps the first of ties.
     faults = [(_first_fault(bad), buf) for buf in (plus, minus)
               if (bad := buf < -NEG_CLAMP).any()]
@@ -75,9 +80,12 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
             "realisable by a nearest-neighbor walk", n=n, t=t)
     # rho(n, t) = psi+^2 + psi-^2 = psi+^2(n+1, t+1) + psi-^2(n-1, t+1), all
     # terms >= 0: where rho vanishes so do they, not a partial-sum residue.
+    # In slice order (n + 1, t + 1) and (n - 1, t + 1) come t + 2 and t + 1
+    # entries after (n, t).
     empty = rho.buf == 0.0
-    for t, was_empty in enumerate(split_slices(empty)[:-1], 1):
-        wp2[t][1:][was_empty] = wm2[t][:-1][was_empty] = 0.0
+    i = np.flatnonzero(empty[:slice_offset(rho.horizon)])
+    t = flat_sites(i)[1]
+    plus[i + t + 2] = minus[i + t + 1] = 0.0
     for buf in (plus, minus):
         np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)[empty] = 0.0
     return WaveField(plus, minus)
@@ -132,9 +140,11 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     return JumpSchedule(np.clip(p, 0.0, 1.0))
 
 
-def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
-    """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0."""
-    flux = flux_from_rho(rho)
+def synthesize_jumps(rho: ProbabilitySequence, *,
+                     _flux: FluxField | None = None) -> JumpSchedule:
+    """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0;
+    ``_flux``, if given, is flux_from_rho(rho) computed before."""
+    flux = flux_from_rho(rho) if _flux is None else _flux
     rs = rho.buf[:len(flux.buf)]
     return _jump_schedule(0.5 * (rs + flux.buf), rs)
 

@@ -306,3 +306,14 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
             p[k] = _jump_from_ratio(wp_next[k + 1], rs[k], n, t)
         probs.append(p)
     return JumpSchedule(probs)
+
+
+def probability_from_wavefield(w) -> ProbabilitySequence:
+    """rho = |psi+|^2 + |psi-|^2, each slice divided by its math.fsum total
+    where that lies more than 1e-15 from 1."""
+    slices = []
+    for plus, minus in zip(w.plus_slices, w.minus_slices):
+        rho = np.abs(plus) ** 2 + np.abs(minus) ** 2
+        total = math.fsum(rho)
+        slices.append(rho / total if abs(total - 1.0) > 1e-15 else rho)
+    return ProbabilitySequence(slices)

@@ -107,6 +107,24 @@ def test_synth_then_evolve_files(capsys, tmp_path):
     assert np.allclose(back.slices[15], np.full(16, 1 / 16), atol=1e-12)
 
 
+@pytest.mark.parametrize("walk", ["qw", "rw"])
+def test_synth_computes_the_flux_once(capsys, tmp_path, monkeypatch, walk):
+    from walkforge import feasibility, synthesis
+    calls = []
+    flux = feasibility.flux_from_rho
+
+    def counted(rho):
+        calls.append(rho)
+        return flux(rho)
+
+    monkeypatch.setattr(feasibility, "flux_from_rho", counted)
+    monkeypatch.setattr(synthesis, "flux_from_rho", counted)
+    code, _, _ = run(capsys, "synth", "--target", "binomial:0.3", "-T", "9",
+                     "--walk", walk, "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_synth_rw_then_mc_csv(capsys, tmp_path):
     sched_path = tmp_path / "jumps.json"
     code, _, _ = run(capsys, "synth", "--target", "binomial:0.5", "-T", "8",

@@ -263,3 +263,72 @@ def test_schedule_reader_reports_first_faulty_entry(tmp_path):
                                 "slices": slices}))
     with pytest.raises(FormatError, match=r"'z' at \(n=0, t=2\)"):
         io.read_schedule_json(path)
+
+
+def _csv_outcome(path):
+    """The buffer read from ``path``, or the type and text of the error."""
+    try:
+        return io._read_csv_buffer(path).tobytes()
+    except (FormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+ROWS = ["t,n,value", "0,0,1.0", "1,-1,0.25", "1,1,0.75"]
+
+
+@pytest.mark.parametrize("text", [
+    "\r\n".join(ROWS) + "\r\n",
+    "\n".join(ROWS) + "\n",
+    "\r".join(ROWS) + "\r",
+    "\n".join(ROWS),
+    "\n".join(ROWS[:2] + ["", ""] + ROWS[2:] + [""]) + "\n",
+    "\n" + "\n".join(ROWS[1:]) + "\n",
+    "\r\n".join(ROWS + ["", "1,-1,0.5"]) + "\r\r\n",
+    "t,n,value\n 0 , 0 , 1.0 \n+1,-1 ,0.25\n1,1,\t0.75\n",
+    "t,n,value\n0,0,1.0\n  \n1,-1,0.25\n",
+    "t,n,value\n0,0,1.0\n1.0,-1,0.25\n",
+    "t,n,value\n0,0,1.0\n1,1e0,0.25\n",
+    "t,n,value\n0,0,1.0\n1e3,-1,0.25\n",
+    "t,n,value\n0,0,1_0\n1,-1,0.25\n1,1,0.75\n",
+    "t,n,value\n0,0,1.0\n1_0,-1,0.25\n",
+    "t,n,value\n0,0,1.0\n١,-1,0.25\n1,١,0.75\n",
+    "t,n,value\n0,0,1.0\nǾ,-1,0.25\n",
+    "t,n,value\n0,0,1.0\n1\x1c,-1,0.25\n",
+    "t,n,value\n0,0,\x1f1.0\n",
+    "t,n,value\x00\n0,0,1.0\n",
+    't,n,value\n"0",0,1.0\n',
+    't,n,"value\n0,0,1.0\n1,-1,0.25\n1,1,0.75\n',
+    "t,n,value\n0,0,1.0\n99999999999999999999,-1,0.25\n",
+    "t,n,value\n0,0,1.0\n1,-9223372036854775809,0.25\n",
+    "t,n,value\n0,0,nan\n",
+    "t,n,value\n0,0,1e400\n1,-1,-inf\n1,1,Infinity\n",
+    "t,n,value\n0,0,1.0\n1,-1,0.5,\n",
+    "t,n,value\n0,0,1.0\n1,,0.5\n",
+    "t,n,value\n\n0,0,1.0\n1,0,0.5\n",
+    "t,n,value\n0,0,1.0\n\n1,-1,0.5\n1,-1,0.5\n",
+    "t,n,value\n0,0,1.0\n2,0,1.0\n",
+    "t,n,value\n",
+    "",
+])
+def test_bulk_csv_reader_matches_row_reader(tmp_path, monkeypatch, text):
+    # Same buffer, or the same error naming the same row, with or without
+    # the bulk parse.
+    path = tmp_path / "target.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    bulk = _csv_outcome(path)
+    monkeypatch.setattr(io, "_load_csv", lambda path: None)
+    assert bulk == _csv_outcome(path)
+
+
+def test_bulk_csv_reader_reads_written_fields_bit_for_bit(tmp_path,
+                                                        monkeypatch):
+    rng = np.random.default_rng(7)
+    slices = [rng.random(t + 1) * 10.0 ** rng.integers(-320, 5, t + 1)
+              for t in range(40)]
+    path = tmp_path / "field.csv"
+    io.write_field_csv(ScalarField(slices), path)
+    assert io._load_csv(path) is not None
+    bulk = io._read_csv_buffer(path)
+    assert bulk.tobytes() == np.concatenate(slices).tobytes()
+    monkeypatch.setattr(io, "_load_csv", lambda path: None)
+    assert io._read_csv_buffer(path).tobytes() == bulk.tobytes()

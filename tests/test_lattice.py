@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from walkforge import lattice
 from walkforge.lattice import (
     CoinSchedule,
     ComplexWaveField,
@@ -20,6 +21,8 @@ from walkforge.lattice import (
     from_storage_index,
     probability_from_wavefield,
     prefix_sums,
+    slice_offset,
+    split_slices,
     suffix_sums,
     to_storage_index,
 )
@@ -62,6 +65,29 @@ def test_prefix_suffix_sums_match_fsum(values):
     for k in (0, len(arr) // 2, len(arr) - 1):
         assert pre[k] == pytest.approx(math.fsum(arr[: k + 1]), abs=1e-9, rel=1e-12)
         assert suf[k] == pytest.approx(math.fsum(arr[k:]), abs=1e-9, rel=1e-12)
+
+
+# Summands that make exact ties (1 + 2**-53), cancel (+-1e308, +-1), sit in
+# the subnormal range or overflow a slice total.
+SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([1.0, -1.0, 3.0, 0.1, 2.0 ** -53, -2.0 ** -53,
+                     2.0 ** -1074, 1e308, -1e308, 0.0]),
+)
+
+
+@given(st.integers(1, 24).flatmap(lambda slices: st.lists(
+    SUMMANDS, min_size=slice_offset(slices), max_size=slice_offset(slices))))
+@example([1.0, 1.0, 2.0 ** -53, 1.0, 2.0 ** -53, 2.0 ** -53])
+@example([1.0, 1e308, 1e308, 1e308, -1e308, 1e308])
+@example([2.0 ** -1074] * 10)
+@settings(deadline=None)
+def test_slice_totals_equal_fsum(values):
+    # Slices of lengths 1..24: a block of 16 and part of the next.
+    buf = np.array(values)
+    fsum = [lattice._total(s) for s in split_slices(buf)]
+    assert lattice._totals(buf).tolist() == fsum
 
 
 def test_probability_sequence_rejects_bad_slice_length():
@@ -264,6 +290,18 @@ def test_wave_field_norm_overflow_is_an_integrity_error(kind):
         kind(plus, minus)
     assert str(err.value) == \
         "wave field norm at t=2 is inf, deviates from 1 beyond 1e-12"
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_probability_sequence_total_overflow_is_a_format_error(renormalize):
+    # The entries are finite; only their slice total overflows, which must
+    # not read as NaN, which passes every tolerance test.
+    slices = [[1.0], [0.0, 1.0], [0.0, 1e308, 1e308]]
+    with pytest.raises(FormatError) as err:
+        ProbabilitySequence(slices, renormalize=renormalize)
+    tol = "1e-09" if renormalize else "1e-12"
+    assert str(err.value) == \
+        f"slice t=2 sums to inf, deviates from 1 by more than {tol}"
 
 
 def test_probability_from_wavefield_initial_condition():

@@ -18,6 +18,7 @@ from oracles import random_jump_target
 from walkforge import feasibility, lattice, synthesis
 from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
 from walkforge.lattice import ProbabilitySequence, WalkError
+from walkforge.targets import binomial_target, uniform_target
 
 THETA_TOL = 1e-15
 
@@ -124,3 +125,29 @@ def test_compensated_sums_equal_neumaier_scans(values):
     arr = np.array(values, dtype=float)
     assert np.array_equal(lattice.prefix_sums(arr), oracles.prefix_sums(arr))
     assert np.array_equal(lattice.suffix_sums(arr), oracles.suffix_sums(arr))
+
+
+def _complex_walk(horizon):
+    return evolve_qw_complex(
+        HomogeneousCoinParams(theta=0.7, eta=0.4, gamma=1.1, alpha=0.3),
+        horizon)
+
+
+@pytest.mark.parametrize("field, divided", [
+    (lambda: synthesis.reconstruct_wavefield(uniform_target(300)), 0),
+    (lambda: synthesis.reconstruct_wavefield(binomial_target(0.3, 300)), 200),
+    (lambda: synthesis.reconstruct_wavefield(
+        random_jump_target(np.random.default_rng(3), 300)), 0),
+    (lambda: _complex_walk(300), 150),
+])
+def test_renormalised_probabilities_match_fsum_oracle_at_T300(field, divided):
+    # The divisors are bits of the output.  Complex-layer bits diverge only
+    # from T ~ 200; at least ``divided`` slices take a divisor.
+    field = field()
+    got = lattice.probability_from_wavefield(field)
+    want = oracles.probability_from_wavefield(field)
+    assert got.buf.tobytes() == want.buf.tobytes()
+    raw = np.abs(field.plus_buf) ** 2 + np.abs(field.minus_buf) ** 2
+    assert np.count_nonzero(
+        [not np.array_equal(a, b) for a, b in
+         zip(lattice.split_slices(raw), got.slices)]) >= divided
