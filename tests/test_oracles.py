@@ -112,6 +112,17 @@ def test_random_jump_family_matches_oracles_at_T300(seed):
     assert report.feasible
 
 
+def test_narrow_scan_blocks_match_oracles(monkeypatch):
+    # Past T ~ 2000 a block holds fewer than 16 slices; with a smaller
+    # budget, blocks of 16, 3, 2 and 1 slices occur here.
+    monkeypatch.setattr(lattice, "_BLOCK_SIZE", 64)
+    rho = random_jump_target(np.random.default_rng(4), 90, p_edge=0.1)
+    check_against_oracles(rho)
+    field = _complex_walk(90)
+    assert lattice.probability_from_wavefield(field).buf.tobytes() == \
+        oracles.probability_from_wavefield(field).buf.tobytes()
+
+
 def test_complex_walk_mimicry_matches_oracle():
     params = HomogeneousCoinParams(theta=0.7, eta=0.4, gamma=1.1, alpha=0.3)
     field = evolve_qw_complex(params, 60)
