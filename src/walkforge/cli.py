@@ -61,24 +61,22 @@ FIG2_PARAMS = HomogeneousCoinParams(theta=math.pi / 4, eta=math.pi / 4,
                                     gamma=math.pi / 2)
 
 
-def _emit_field(field, args, default_name: str) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
-        io.write_field_json(field, sys.stdout)
-        return
-    out = Path(out)
-    if out.is_dir():
-        ext = "csv" if args.format == "csv" else "json"
-        out = out / f"{default_name}.{ext}"
-    if args.format == "csv":
-        io.write_field_csv(field, out)
-    else:
-        io.write_field_json(field, out)
+def _destination(args):
+    """Where a field output goes, in ``--format``: stdout, the ``--out``
+    file, or ``<dir>/rho.<format>`` when ``--out`` names a directory."""
+    if args.out is None:
+        return sys.stdout
+    out = Path(args.out)
+    return out / f"rho.{args.format}" if out.is_dir() else out
 
 
-def _print_json(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit_field(field, args) -> None:
+    write = io.write_field_csv if args.format == "csv" else io.write_field_json
+    write(field, _destination(args))
+
+
+def _print_json(doc, fh=None) -> None:
+    (fh or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
 
 
 def _require(args, *names) -> None:
@@ -137,12 +135,16 @@ def cmd_evolve(args) -> int:
     if args.walk not in (None, kind):
         raise WalkError(f"--walk {args.walk} does not match {args.schedule}, "
                         f"which holds a {kind} schedule")
+    if kind == "rw" and args.init is not None:
+        raise WalkError(f"--init applies to qw schedules only; "
+                        f"{args.schedule} holds an rw schedule")
     if kind == "qw":
+        text = "1,0" if args.init is None else args.init
         try:
-            a, b = init = tuple(map(float, args.init.split(",")))
+            a, b = init = tuple(map(float, text.split(",")))
         except ValueError:
             raise WalkError("--init takes two comma-separated amplitudes, "
-                            f"got {args.init!r}") from None
+                            f"got {text!r}") from None
         norm = a ** 2 + b ** 2
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails every comparison
             raise WalkError(f"initial state norm {norm!r} != 1")
@@ -150,7 +152,7 @@ def cmd_evolve(args) -> int:
             evolve_qw(schedule, init, args.horizon))
     else:
         rho = evolve_rw_exact(schedule, args.horizon)
-    _emit_field(rho, args, "rho")
+    _emit_field(rho, args)
     return EXIT_OK
 
 
@@ -178,38 +180,30 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _hadamard_params(args) -> HomogeneousCoinParams:
-    return HomogeneousCoinParams(theta=args.theta, eta=args.eta,
-                                 gamma=args.gamma, alpha=args.alpha,
-                                 beta=args.beta, chi=args.chi)
-
-
 def cmd_hadamard(args) -> int:
     _require(args, "theta", "horizon")
-    params = _hadamard_params(args)
-    horizon = args.horizon
+    params = HomogeneousCoinParams(theta=args.theta, eta=args.eta,
+                                   gamma=args.gamma, alpha=args.alpha,
+                                   beta=args.beta, chi=args.chi)
+    t = args.horizon
     if args.route == "asymptotic":
-        t = horizon
         limit = t * abs(math.cos(params.theta))
         rows = [(n, asymptotic_density(params, n, t))
                 for n in site_positions(t).tolist() if abs(n) < limit]
-        if args.out is None:
-            _print_json({
-                "schema_version": io.SCHEMA_VERSION,
-                "t": t,
-                "entries": [{"n": n, "value": v} for n, v in rows],
-            })
-        else:
-            with open(args.out, "w") as fh:
+        with io.open_write(_destination(args)) as fh:
+            if args.format == "csv":
                 fh.write("t,n,value\n")
-                for n, v in rows:
-                    fh.write(f"{t},{n},{v!r}\n")
+                fh.writelines(f"{t},{n},{v!r}\n" for n, v in rows)
+            else:
+                _print_json({
+                    "schema_version": io.SCHEMA_VERSION,
+                    "t": t,
+                    "entries": [{"n": n, "value": v} for n, v in rows],
+                }, fh)
         return EXIT_OK
-    if args.route == "closed-form":
-        field = closed_form_wavefield(params, horizon)
-    else:
-        field = evolve_qw_complex(params, horizon)
-    _emit_field(probability_from_wavefield(field), args, "rho")
+    engine = (closed_form_wavefield if args.route == "closed-form"
+              else evolve_qw_complex)
+    _emit_field(probability_from_wavefield(engine(params, t)), args)
     return EXIT_OK
 
 
@@ -301,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walk", choices=("qw", "rw"), default=None,
                    help="must match the schedule kind if given")
     p.add_argument("--schedule", default=None)
-    p.add_argument("--init", default="1,0",
-                   help="initial chirality amplitudes a,b (qw only)")
+    p.add_argument("--init", default=None,
+                   help="initial chirality amplitudes a,b (qw; default 1,0)")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("mc", help="Monte Carlo random-walk trajectories")

@@ -8,6 +8,9 @@ FFT per slice, O(T^2 log T)), and the exact classical master equation.
 Monte Carlo trajectories use per-trajectory counter-based substreams keyed
 by (master seed, trajectory index) and advance in blocks that add integer
 counts, so the sample is bit-identical for any block size.
+
+The schedule engines step an undefined (NaN) parameter as theta = 0 or
+p = 0, which keeps the mass; :func:`_check_coverage` alone judges it dead.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .lattice import (
     split_slices,
 )
 
-# Amplitude (or mass) below this is allowed to touch undefined schedule
-# sites: such sites carry zero measure by construction.
-DEAD_AMPLITUDE = 1e-12
+# Mass (psi+^2 + psi-^2, rho or a Monte Carlo count) up to this may reach
+# an undefined schedule site: such sites carry zero measure by construction.
+DEAD_MASS = 1e-12
 
 # Trajectories per Monte Carlo block: it bounds memory, not the sample.
 _MC_BLOCK = 2048
@@ -104,10 +107,10 @@ def _schedule_steps(schedule, steps: int | None) -> int:
     return steps
 
 
-def _check_coverage(schedule, live: np.ndarray, what: str) -> None:
-    """Raise :class:`CoverageError` naming the earliest, then leftmost,
-    site of a slice-order mask ``live`` at which ``schedule`` is undefined."""
-    bad = live & np.isnan(schedule.buf[:len(live)])
+def _check_coverage(schedule, mass: np.ndarray, what: str) -> None:
+    """Raise :class:`CoverageError` at the earliest, then leftmost, site
+    where ``schedule`` is undefined and ``mass`` exceeds DEAD_MASS."""
+    bad = (mass > DEAD_MASS) & np.isnan(schedule.buf[:len(mass)])
     if bad.any():
         _, n, t = _first_fault(bad)
         raise CoverageError(f"{what} (n={n}, t={t})")
@@ -120,14 +123,13 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     psi+(n+1, t+1) = cos th psi+(n, t) + sin th psi-(n, t),
     psi-(n-1, t+1) = sin th psi+(n, t) - cos th psi-(n, t).
 
-    Undefined schedule sites may only be touched by dead amplitude
-    (<= 1e-12), in which case they emit zeros; live amplitude raises
-    :class:`CoverageError`.
+    An undefined coin steps as theta = 0, which keeps the mass; a mass
+    psi+^2 + psi-^2 above DEAD_MASS there raises :class:`CoverageError`.
     """
     steps = _schedule_steps(schedule, steps)
-    th = schedule.buf[:slice_offset(steps)]
-    c, s = (split_slices(np.nan_to_num(f(th), copy=False))  # NaN steps as 0
-            for f in (np.cos, np.sin))
+    th = np.nan_to_num(schedule.buf[:slice_offset(steps)])  # NaN steps as 0
+    s = split_slices(np.sin(th))
+    c = split_slices(np.cos(th, out=th))
     plus = np.zeros(slice_offset(steps + 1))
     minus = np.zeros_like(plus)
     plus[0], minus[0] = float(init[0]), float(init[1])
@@ -135,10 +137,10 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     for t in range(steps):
         wp[t + 1][1:] = c[t] * wp[t] + s[t] * wm[t]
         wm[t + 1][:-1] = s[t] * wp[t] - c[t] * wm[t]
-    del c, s  # free both buffers before the live check allocates
-    live = (np.abs(plus[:len(th)]) > DEAD_AMPLITUDE) | \
-        (np.abs(minus[:len(th)]) > DEAD_AMPLITUDE)
-    _check_coverage(schedule, live, "coin undefined at live site")
+    del th, c, s  # free both buffers before the mass is formed
+    mass = np.square(plus[:slice_offset(steps)])
+    mass += np.square(minus[:len(mass)])
+    _check_coverage(schedule, mass, "coin undefined at live site")
     return WaveField(plus, minus)
 
 
@@ -273,19 +275,19 @@ def evolve_rw_exact(schedule: JumpSchedule,
     """Exact master equation of the inhomogeneous random walk.
 
     rho(n, t) = p(n-1, t-1) rho(n-1, t-1) + [1 - p(n+1, t-1)] rho(n+1, t-1).
-    Mass above 1e-12 at an undefined schedule site raises
-    :class:`CoverageError`; dead mass below it is split evenly so each slice
-    keeps summing to one.
+    An undefined jump probability steps as p = 0, so dead mass there moves
+    to (n - 1, t + 1) and each slice keeps summing to one; a mass above
+    DEAD_MASS there raises :class:`CoverageError`.
     """
     steps = _schedule_steps(schedule, steps)
     rho = np.zeros(slice_offset(steps + 1))
     rho[0] = 1.0
     r = split_slices(rho)
     for t, pt in enumerate(schedule.value_slices[:steps]):
-        pt = np.where(np.isnan(pt), 0.5, pt)  # per slice: no buffer copy
+        pt = np.where(np.isnan(pt), 0.0, pt)  # per slice: no buffer copy
         r[t + 1][1:] += pt * r[t]
         r[t + 1][:-1] += (1.0 - pt) * r[t]
-    _check_coverage(schedule, rho[:slice_offset(steps)] > DEAD_AMPLITUDE,
+    _check_coverage(schedule, rho[:slice_offset(steps)],
                     "jump probability undefined at occupied site")
     return ProbabilitySequence(rho)
 
@@ -320,9 +322,9 @@ def simulate_rw(schedule: JumpSchedule,
             hist = np.bincount(k)
             counts[slice_offset(t + 1):][:len(hist)] += hist
     del draws, block, row  # free the draws before the estimates allocate
-    # A walker at an undefined site (p = NaN) steps left, so the counts up
-    # to the first visit of one, and the error it raises, are exact.
-    _check_coverage(schedule, counts[:slice_offset(steps)] > 0,
+    # A walker at an undefined site steps left (u < NaN is False), as p = 0
+    # does; the counts up to its first visit, and the error, are exact.
+    _check_coverage(schedule, counts[:slice_offset(steps)],
                     "jump probability undefined at visited site")
     rho_hat = ProbabilitySequence(counts / n_traj)
     s = rho_hat.buf

@@ -37,7 +37,7 @@ from .lattice import (
 SCHEMA_VERSION = 2
 
 
-def _open_write(path):
+def open_write(path):
     """Open ``path`` for writing; an already open text stream is used as is
     and left open."""
     if hasattr(path, "write"):
@@ -48,7 +48,7 @@ def _open_write(path):
 def _write_csv(path, header, *fields) -> None:
     """``t,n,...`` rows, one value column per field, in (t, n) order, byte
     for byte as ``csv.writer`` writes the ``repr`` of each value."""
-    with _open_write(path) as fh:
+    with open_write(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for t, cols in enumerate(zip(*(f.slices for f in fields))):
             row = f"{t},%d" + ",%s" * len(cols) + "\r\n"
@@ -201,7 +201,7 @@ def _write_json(path, head: dict, slices) -> None:
     Stored values other than a schedule's undefined sites are finite, so
     every ``NaN`` token is one of those.
     """
-    with _open_write(path) as fh:
+    with open_write(path) as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **head,
                              "slices": []})[:-2])
         for t, s in enumerate(slices):

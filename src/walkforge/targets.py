@@ -96,7 +96,11 @@ class TargetSpec:
 
     def realize(self, horizon: int | None) -> ProbabilitySequence:
         if self.kind == "file":
-            return load_target(self.path)
+            rho = load_target(self.path)
+            if horizon not in (None, rho.horizon):
+                raise WalkError(f"horizon {horizon} does not match "
+                                f"{self.path}, which holds T = {rho.horizon}")
+            return rho
         if horizon is None:
             raise WalkError(f"target kind {self.kind!r} requires a horizon")
         if self.kind == "uniform":

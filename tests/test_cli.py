@@ -212,6 +212,59 @@ def test_evolve_walk_must_match_schedule(capsys, tmp_path):
     assert json.loads(out)["horizon"] == 4
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_is_honoured_on_stdout_file_and_directory(capsys, tmp_path,
+                                                        fmt):
+    sched_path = tmp_path / "jumps.json"
+    run(capsys, "synth", "--target", "binomial:0.4", "-T", "5",
+        "--walk", "rw", "--out", str(sched_path))
+    (tmp_path / "dir").mkdir()
+    for argv in (["evolve", "--schedule", str(sched_path)],
+                 ["hadamard", "--theta", "0.7", "-T", "3"],
+                 ["hadamard", "--theta", "0.7", "-T", "30", "--asymptotic"]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out.startswith("t,n,value" if fmt == "csv" else "{")
+        for dest, written in ((tmp_path / f"out.{fmt}", None),
+                              (tmp_path / "dir", f"rho.{fmt}")):
+            code, _, _ = run(capsys, *argv, "--format", fmt,
+                             "--out", str(dest))
+            assert code == 0
+            path = dest / written if written else dest
+            assert path.read_bytes() == out.encode()
+
+
+def test_asymptotic_rows_keep_their_csv_and_json_forms(capsys, tmp_path):
+    argv = ["hadamard", "--theta", "0.7", "-T", "30", "--asymptotic"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "t", "entries"]
+    # An --out file is JSON unless --format csv is given.
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.txt"))
+    assert code == 0
+    assert (tmp_path / "a.txt").read_text() == out
+    code, _, _ = run(capsys, *argv, "--format", "csv",
+                     "--out", str(tmp_path / "a.csv"))
+    assert code == 0
+    assert (tmp_path / "a.csv").read_bytes() == ("t,n,value\n" + "".join(
+        f"30,{e['n']},{e['value']!r}\n" for e in doc["entries"])).encode()
+
+
+def test_flags_that_apply_are_accepted(capsys, tmp_path):
+    target = tmp_path / "field.json"
+    io.write_field_json(binomial_target(0.5, 3), target)
+    code, out, _ = run(capsys, "validate", "--target", f"file:{target}",
+                       "-T", "3")
+    assert code == 0 and json.loads(out)["feasible"] is True
+    sched_path = tmp_path / "coins.json"
+    run(capsys, "synth", "--target", "uniform", "-T", "4",
+        "--walk", "qw", "--out", str(sched_path))
+    code, out, _ = run(capsys, "evolve", "--schedule", str(sched_path),
+                       "--init", "0,1")
+    assert code == 0 and json.loads(out)["horizon"] == 4
+
+
 def test_hadamard_asymptotic_route(capsys):
     code, out, _ = run(capsys, "hadamard", "--theta", repr(math.pi / 4),
                        "--eta", repr(3 * math.pi / 8), "-T", "50",
@@ -284,8 +337,9 @@ def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
 
 # Each subcommand with malformed input: (argv, text the error must contain).
 # "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
-# v1.json (a schema 1 schedule), a plain file, bogus.cfg, badint.cfg,
-# route.cfg, overflow.csv (a slice whose sum overflows) and, for each bad
+# field.json (a target with T = 3), v1.json (a schema 1 schedule), a plain
+# file, bogus.cfg, badint.cfg, route.cfg, horizon.cfg (T = 2), init.cfg,
+# overflow.csv (a slice whose sum overflows) and, for each bad
 # slice-table horizon h in HORIZONS, field-h.json and jump-h.json, holding
 # the slices int(h) would call for; missing* names nothing.
 CONTRACT = [
@@ -372,6 +426,18 @@ CONTRACT = [
     (["hadamard", "--theta", "0.7", "-T", "10000000"], "Unable to allocate"),
     (["validate", "--target", "file:{tmp}/sparse.csv"],
      "sparse.csv: slice t=1 has no rows"),
+    # Flags that do not apply are refused, from argv or from --config.
+    (["validate", "--target", "file:{tmp}/field.json", "-T", "2"],
+     "horizon 2 does not match"),
+    (["roundtrip", "--target", "file:{tmp}/field.json", "-T", "99",
+      "--walk", "qw"], "which holds T = 3"),
+    (["synth", "--target", "file:{tmp}/field.json", "--walk", "rw",
+      "--config", "{tmp}/horizon.cfg", "--out", "{tmp}/jumps-out.json"],
+     "horizon 2 does not match"),
+    (["evolve", "--schedule", "{tmp}/jumps.json", "--init", "0,1"],
+     "--init applies to qw schedules only"),
+    (["evolve", "--schedule", "{tmp}/jumps.json", "--config",
+      "{tmp}/init.cfg"], "--init applies to qw schedules only"),
 ]
 
 # Slice-table horizons that are not JSON integers >= 0, as JSON text, with
@@ -395,6 +461,9 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
     (tmp_path / "badint.cfg").write_text("horizon = x\n")
     (tmp_path / "route.cfg").write_text("route = closedform\n")
+    (tmp_path / "horizon.cfg").write_text("horizon = 2\n")
+    (tmp_path / "init.cfg").write_text("init = 1,0\n")
+    io.write_field_json(binomial_target(0.5, 3), tmp_path / "field.json")
     for text, steps in HORIZONS.items():
         field = [[1.0 / (t + 1)] * (t + 1) for t in range(steps + 1)]
         head = f'{{"schema_version": 2, "horizon": {text}, '

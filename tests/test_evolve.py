@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import random_jump_target
 from walkforge import evolve
 from walkforge.evolve import (
+    DEAD_MASS,
     HomogeneousCoinParams,
     McConfig,
     asymptotic_density,
@@ -28,7 +30,8 @@ from walkforge.lattice import (
     site_positions,
     slice_offset,
 )
-from walkforge.synthesis import reconstruct_wavefield, synthesize_coins
+from walkforge.synthesis import (reconstruct_wavefield, synthesize_coins,
+                                 synthesize_jumps)
 from walkforge.targets import binomial_target, uniform_target
 
 QUASI_SYMMETRIC = HomogeneousCoinParams(math.pi / 4, 3 * math.pi / 8, 0.0)
@@ -89,6 +92,16 @@ def test_undefined_site_with_dead_amplitude_is_allowed():
     angles = [np.array([0.0]), np.array([math.nan, math.pi / 4])]
     field = evolve_qw(CoinSchedule(angles))
     assert field.plus(2, 2) ** 2 + field.minus(0, 2) ** 2 == pytest.approx(1.0)
+
+
+def test_undefined_coin_keeps_dead_mass_and_rejects_live_mass():
+    # theta(0, 0) = a sends the amplitude sin a to the undefined site
+    # (-1, 1): a mass of 1e-20 is dead, one of 1e-10 is not.
+    field = evolve_qw(CoinSchedule([[1e-10], [math.nan, 0.7]]))
+    # The undefined coin steps as theta = 0, which passes psi- on, negated.
+    assert field.minus(-2, 2) == -math.sin(1e-10)
+    with pytest.raises(CoverageError, match=r"n=-1, t=1"):
+        evolve_qw(CoinSchedule([[1e-5], [math.nan, 0.7]]))
 
 
 def test_complex_engine_eta_zero_matches_real():
@@ -261,6 +274,30 @@ def test_exact_rw_coverage_error(engine):
         engine(schedule)
 
 
+def test_exact_rw_steps_dead_mass_left_at_undefined_site():
+    rho = evolve_rw_exact(JumpSchedule([[1.0 - 1e-13], [math.nan, 0.5]]))
+    assert 0.0 < rho.value(-1, 1) <= DEAD_MASS
+    # p = 0 at (-1, 1), as a Monte Carlo walker there would step.
+    assert rho.value(-2, 2) == rho.value(-1, 1)
+
+
+def test_mimicry_pair_agrees_on_live_undefined_sites():
+    # Coins and jumps realising one target with empty sites: both engines
+    # accept, and they judge the mass at every undefined site alike.
+    horizon = 300
+    rho = random_jump_target(np.random.default_rng(1), horizon, p_edge=0.3)
+    coins = synthesize_coins(reconstruct_wavefield(rho))
+    jumps = synthesize_jumps(rho)
+    field = evolve_qw(coins)
+    m = slice_offset(horizon)
+    undefined = np.isnan(coins.buf) | np.isnan(jumps.buf)
+    qw_mass = (field.plus_buf[:m] ** 2 + field.minus_buf[:m] ** 2)[undefined]
+    rw_mass = evolve_rw_exact(jumps).buf[:m][undefined]
+    # Rounding-level mass reaches undefined sites in both engines.
+    assert (qw_mass > 0.0).any() and (rw_mass > 0.0).any()
+    assert ((qw_mass > DEAD_MASS) == (rw_mass > DEAD_MASS)).all()
+
+
 def test_mc_is_deterministic():
     schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(10)])
     cfg = McConfig(trajectories=2000, seed=123, horizon=10)
@@ -344,7 +381,7 @@ def test_mc_memory_does_not_grow_with_trajectories():
 
 
 def test_exact_rw_holds_no_copy_of_the_schedule():
-    # rho is one buffer; the NaN -> 0.5 replacement works slice by slice.
+    # rho is one buffer; the NaN -> 0 replacement works slice by slice.
     horizon = 300
     schedule = JumpSchedule(np.full(slice_offset(horizon), 0.3))
     tracemalloc.start()
