@@ -145,7 +145,7 @@ def cmd_evolve(args) -> int:
         except ValueError:
             raise WalkError("--init takes two comma-separated amplitudes, "
                             f"got {text!r}") from None
-        norm = a ** 2 + b ** 2
+        norm = a * a + b * b  # inf, not OverflowError, if it overflows
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails every comparison
             raise WalkError(f"initial state norm {norm!r} != 1")
         rho = probability_from_wavefield(
@@ -344,8 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WalkError(f"{path}: {exc}") from None
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -48,6 +48,12 @@ _MC_BLOCK = 2048
 MIN_SIN_THETA = 1e-2
 
 
+def _finite_angle(name: str, value: float) -> float:
+    if not math.isfinite(value):  # an overflow: no sine or cosine
+        raise WalkError(f"coin angle {name} = {value!r} is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class HomogeneousCoinParams:
     """Angles of the most general homogeneous complex coin and initial state.
@@ -74,7 +80,8 @@ class HomogeneousCoinParams:
 
     @property
     def varphi(self) -> float:
-        return self.alpha + self.beta - self.gamma
+        return _finite_angle("alpha + beta - gamma",
+                             self.alpha + self.beta - self.gamma)
 
     def initial_state(self) -> tuple[complex, complex]:
         return (
@@ -90,8 +97,10 @@ class McConfig:
     horizon: int
 
     def __post_init__(self):
-        if self.trajectories < 1:
-            raise WalkError("trajectories must be >= 1")
+        # The counts are int64.
+        if not 1 <= self.trajectories < 2 ** 63:
+            raise WalkError(f"trajectories must be in [1, 2**63), "
+                            f"got {self.trajectories}")
         # Philox casts a key past int64 to float64; nearby seeds then collide.
         if not 0 <= self.seed < 2 ** 63:
             raise WalkError(f"seed must be in [0, 2**63), got {self.seed}")
@@ -242,10 +251,12 @@ def symmetry_conditions(params: HomogeneousCoinParams) -> tuple[float, float]:
     symmetric position distribution; the first alone gives quasi-symmetry
     (symmetric leading asymptotics)."""
     phi = params.varphi
-    a = (math.cos(2 * params.eta) * math.cos(params.theta)
-         + math.sin(2 * params.eta) * math.sin(params.theta) * math.cos(phi))
-    b = (math.cos(2 * params.eta) * math.cos(2 * params.theta)
-         + math.sin(2 * params.eta) * math.sin(2 * params.theta) * math.cos(phi))
+    eta2 = _finite_angle("2 eta", 2 * params.eta)
+    theta2 = _finite_angle("2 theta", 2 * params.theta)
+    a = (math.cos(eta2) * math.cos(params.theta)
+         + math.sin(eta2) * math.sin(params.theta) * math.cos(phi))
+    b = (math.cos(eta2) * math.cos(theta2)
+         + math.sin(eta2) * math.sin(theta2) * math.cos(phi))
     return a, b
 
 
@@ -263,9 +274,9 @@ def asymptotic_density(params: HomogeneousCoinParams, n: int, t: int) -> float:
             f"asymptotic density only valid for |n| < t cos theta "
             f"(n={n}, t={t}, theta={params.theta})")
     phi = params.varphi
-    bracket = t + n * (math.cos(2 * params.eta)
-                       + math.sin(2 * params.eta) * math.tan(params.theta)
-                       * math.cos(phi))
+    eta2 = _finite_angle("2 eta", 2 * params.eta)
+    bracket = t + n * (math.cos(eta2) + math.sin(eta2)
+                       * math.tan(params.theta) * math.cos(phi))
     return (2.0 / math.pi) * t / (t * t - n * n) \
         * math.sin(params.theta) / math.sqrt(t * t * c * c - n * n) * bracket
 

@@ -9,6 +9,8 @@ coin or jump) has slices t = 0..S-1 with ``null`` at undefined sites.
 Readers reject parity and cone violations, duplicated rows, slices of the
 wrong length and table entries that are not JSON numbers; on-support points
 missing from a CSV file are taken to be zero, but each slice needs a row.
+Files are read as UTF-8.  Each public reader adds the path to its errors in
+one place, :func:`_reading`; the CSV reader also names the row.
 """
 
 from __future__ import annotations
@@ -16,19 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from contextlib import nullcontext
-from itertools import compress
-from operator import itemgetter
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
 from .lattice import (
     CoinSchedule,
     FormatError,
+    InfeasibleTargetError,
     JumpSchedule,
     ProbabilitySequence,
     ScalarField,
-    SupportError,
     from_storage_index,
     slice_offset,
     to_storage_index,
@@ -61,36 +61,7 @@ def write_field_csv(field, path) -> None:
     _write_csv(path, ("t", "n", "value"), field)
 
 
-def _csv_columns(rows):
-    """The int64 t, int64 n and float value columns of ``t,n,value`` rows."""
-    width = np.fromiter(map(len, rows), np.int64, len(rows))
-    if (width != 3).any():
-        raise ValueError(f"expected 3 columns, got {width[width != 3][0]}")
-    return tuple(
-        np.fromiter(map(conv, map(itemgetter(col), rows)), dtype, len(rows))
-        for col, conv, dtype in ((0, int, np.int64), (1, int, np.int64),
-                                 (2, float, float)))
-
-
 _PARSE_ERRORS = (TypeError, ValueError, OverflowError)
-
-
-def _parse_prefix(items, columns):
-    """``columns(items[:m])`` for the longest prefix it accepts, m, and the
-    error it raises on ``items[m]`` (None when m = len(items)).
-
-    A bulk conversion reports no position when it fails, so only then are
-    the items tried one at a time to find the first bad one.
-    """
-    try:
-        return columns(items), len(items), None
-    except _PARSE_ERRORS:
-        for m, item in enumerate(items):
-            try:
-                columns([item])
-            except _PARSE_ERRORS as exc:
-                return columns(items[:m]), m, exc
-        raise
 
 
 def _flat_sites(t, n) -> tuple[np.ndarray, np.ndarray]:
@@ -102,36 +73,43 @@ def _flat_sites(t, n) -> tuple[np.ndarray, np.ndarray]:
     return flat, (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
 
 
-def _parse_csv(path):
-    """The t column, flat site indices and values of a t,n,value CSV file,
-    row by row.
+def _int64(text) -> int:
+    """``int(text)``, which must fit in an int64, as in np.loadtxt."""
+    if not -2 ** 63 <= (i := int(text)) < 2 ** 63:
+        raise OverflowError("Python int too large to convert to C long")
+    return i
 
-    Rows are numbered as csv.reader counts them (the header is row 1 and
-    blank rows count); of several faults, the first row's is reported.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    width = np.fromiter(map(len, rows), np.int64, len(rows))[1:]
-    lineno = np.flatnonzero(width) + 2
-    rows = list(compress(rows[1:], width))
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    (t, n, vals), m, exc = _parse_prefix(rows, _csv_columns)
-    flat, bad = _flat_sites(t, n)
-    if bad.any():  # the first bad site comes before the first bad row
-        i = int(np.argmax(bad))
-        ti, ni = int(t[i]), int(n[i])
-        try:
-            to_storage_index(ni, ti)
-        except SupportError as site_error:
-            raise FormatError(f"row {lineno[i]}: {site_error}") from None
-        raise FormatError(f"row {lineno[i]}: duplicate entry for "
-                          f"(n={ni}, t={ti})")
-    if exc is not None:
-        raise FormatError(f"row {lineno[m]}: {exc}")
-    return t, flat, vals
+
+def _parse_csv(path):
+    """The t column, flat site indices and values of a t,n,value CSV file.
+    Each row is checked in turn for its width, then its t, n and value, its
+    site and a repeat, so the first faulty row is reported.  Rows are
+    numbered as csv.reader counts them: the header is row 1, blanks count."""
+    t_col, k_col, values, seen = [], [], [], set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = enumerate(csv.reader(fh), 1)
+        if next(rows, None) is None:
+            raise FormatError("empty file")
+        for lineno, row in rows:
+            if not row:
+                continue
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                t, n, value = _int64(row[0]), _int64(row[1]), float(row[2])
+                k = to_storage_index(n, t)
+                if (flat := slice_offset(t) + k) in seen:
+                    raise ValueError(f"duplicate entry for (n={n}, t={t})")
+            except _PARSE_ERRORS as exc:
+                raise FormatError(f"row {lineno}: {exc}") from None
+            seen.add(flat)
+            t_col.append(t)
+            k_col.append(k)
+            values.append(value)
+    if not seen:
+        raise FormatError("no data rows")
+    t, k = np.array(t_col, np.int64), np.array(k_col, np.int64)
+    return t, slice_offset(t) + k, np.array(values)
 
 
 # The bytes of a file that np.loadtxt reads as _parse_csv does: ASCII but
@@ -173,23 +151,27 @@ def _read_csv_buffer(path) -> np.ndarray:
     present = np.unique(t)
     if len(present) <= present[-1]:
         gap = int(np.argmin(present == np.arange(len(present))))
-        raise FormatError(f"{path}: slice t={gap} has no rows")
+        raise FormatError(f"slice t={gap} has no rows")
     out = np.zeros(slice_offset(int(present[-1]) + 1))
     out[flat] = vals
     return out
 
 
-def _build(path, cls, data, **kwargs):
-    """``cls(data, **kwargs)``; a FormatError it raises names ``path``."""
+@contextmanager
+def _reading(path):
+    """Prefix ``path`` to each read error raised inside, as a FormatError;
+    an InfeasibleTargetError keeps its type and site."""
     try:
-        return cls(data, **kwargs)
-    except FormatError as exc:
+        yield
+    except InfeasibleTargetError as exc:
+        raise InfeasibleTargetError(f"{path}: {exc}", exc.n, exc.t) from None
+    except (FormatError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def read_probability_csv(path) -> ProbabilitySequence:
-    return _build(path, ProbabilitySequence, _read_csv_buffer(path),
-                  renormalize=True)
+    with _reading(path):
+        return ProbabilitySequence(_read_csv_buffer(path), renormalize=True)
 
 
 def _write_json(path, head: dict, slices) -> None:
@@ -219,14 +201,14 @@ def _reject_constant(name):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, FormatError) as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from None
+        except (json.JSONDecodeError, RecursionError, FormatError) as exc:
+            raise FormatError(f"invalid JSON: {exc}") from None
 
 
-def _json_slices(doc, path, *, schedule=False):
+def _json_slices(doc, *, schedule=False):
     """The slices of a slice-table document, as lists of JSON numbers.
 
     A field has horizon + 1 slices of JSON numbers; a schedule has horizon
@@ -238,30 +220,28 @@ def _json_slices(doc, path, *, schedule=False):
         if not all(isinstance(s, list) for s in slices):
             raise TypeError("slices is not a list of lists")
     except (KeyError, TypeError) as exc:
-        raise FormatError(
-            f"{path}: missing or malformed slice table: {exc}") from None
+        raise FormatError(f"missing or malformed slice table: {exc}") from None
     if type(horizon) is not int or horizon < 0:  # bool is not int here
-        raise FormatError(f"{path}: horizon must be a JSON integer >= 0, "
+        raise FormatError(f"horizon must be a JSON integer >= 0, "
                           f"got {json.dumps(horizon)}")
     if len(slices) != (horizon if schedule else horizon + 1):
-        raise FormatError(
-            f"{path}: horizon {horizon} but {len(slices)} slices present")
+        raise FormatError(f"horizon {horizon} but {len(slices)} slices present")
     allowed = {int, float, type(None)} if schedule else {int, float}
     for t, s in enumerate(slices):
         if len(s) != t + 1:
             raise FormatError(
-                f"{path}: slice t={t} has {len(s)} entries, expected {t + 1}")
+                f"slice t={t} has {len(s)} entries, expected {t + 1}")
         if not allowed.issuperset(map(type, s)):
             k = next(k for k, v in enumerate(s) if type(v) not in allowed)
-            raise FormatError(f"{path}: {s[k]!r} at "
-                              f"(n={from_storage_index(k, t)}, t={t}) "
-                              "is not a number")
+            raise FormatError(f"{s[k]!r} at (n={from_storage_index(k, t)}, "
+                              f"t={t}) is not a number")
     return slices
 
 
 def read_probability_json(path) -> ProbabilitySequence:
-    return _build(path, ProbabilitySequence,
-                  _json_slices(_load_json(path), path), renormalize=True)
+    with _reading(path):
+        return ProbabilitySequence(_json_slices(_load_json(path)),
+                                   renormalize=True)
 
 
 def write_schedule_json(schedule, path) -> None:
@@ -271,17 +251,17 @@ def write_schedule_json(schedule, path) -> None:
 
 
 def read_schedule_json(path):
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "entries" in doc:
-        raise FormatError(
-            f"{path}: v1 schedule (one entry per site) is no longer read; "
-            "re-run walkforge synth to write it as a schema 2 slice table")
-    values = _json_slices(doc, path, schedule=True)
-    kind = doc.get("kind")
-    if kind not in ("coin", "jump"):
-        raise FormatError(f"{path}: unknown schedule kind {kind!r}")
-    return _build(path, CoinSchedule if kind == "coin" else JumpSchedule,
-                  values)
+    with _reading(path):
+        doc = _load_json(path)
+        if isinstance(doc, dict) and "entries" in doc:
+            raise FormatError(
+                "v1 schedule (one entry per site) is no longer read; re-run "
+                "walkforge synth to write it as a schema 2 slice table")
+        values = _json_slices(doc, schedule=True)
+        kind = doc.get("kind")
+        if kind not in ("coin", "jump"):
+            raise FormatError(f"unknown schedule kind {kind!r}")
+        return (CoinSchedule if kind == "coin" else JumpSchedule)(values)
 
 
 def write_mc_csv(rho: ProbabilitySequence, stderr: ScalarField, path) -> None:

@@ -9,8 +9,9 @@ arithmetic.  A container takes a 1-D slice-order array as its buffer
 without copying it, or copies a list of slices into a new one; both go
 through the same checks.  Producers size a buffer with
 :func:`slice_offset` and fill it through :func:`split_slices`,
-:func:`neighbours` and :func:`flat_sites`, so the offset arithmetic stays
-in this module.
+:func:`neighbours` and :func:`flat_sites`, except that the CSV reader puts
+(n, t) at ``slice_offset(t) + (n + t) / 2`` and ``reconstruct_wavefield``
+steps from flat index i to i + t + 1 and i + t + 2, (n -+ 1, t + 1).
 
 All containers are immutable after construction (the buffers and their
 views are read-only) and therefore safe to share across threads.
@@ -100,9 +101,12 @@ def site_positions(t: int) -> np.ndarray:
 
 
 def _check_horizon(horizon: int) -> int:
-    """``horizon``, which must be >= 0."""
+    """``horizon``, which must be >= 0 and small enough that a complex
+    buffer of slices 0..horizon can be addressed."""
     if horizon < 0:
         raise WalkError(f"horizon must be >= 0, got {horizon}")
+    if slice_offset(horizon + 1) > np.iinfo(np.intp).max // 16:
+        raise WalkError(f"horizon {horizon} is too large to address")
     return horizon
 
 

@@ -438,6 +438,36 @@ CONTRACT = [
      "--init applies to qw schedules only"),
     (["evolve", "--schedule", "{tmp}/jumps.json", "--config",
       "{tmp}/init.cfg"], "--init applies to qw schedules only"),
+    # Input files are read as UTF-8, and a read error names the file.
+    (["validate", "--target", "file:{tmp}/latin1.csv"],
+     "latin1.csv: 'utf-8' codec can't decode byte 0xff"),
+    (["validate", "--target", "file:{tmp}/latin1.json"],
+     "latin1.json: 'utf-8' codec can't decode byte 0xff"),
+    (["evolve", "--schedule", "{tmp}/latin1.json"],
+     "latin1.json: 'utf-8' codec can't decode byte 0xff"),
+    (["hadamard", "--theta", "0.7", "-T", "3", "--config", "{tmp}/latin1.cfg"],
+     "latin1.cfg: 'utf-8' codec can't decode byte 0xff"),
+    (["evolve", "--schedule", "{tmp}/deep.json"],
+     "deep.json: invalid JSON: maximum recursion depth exceeded"),
+    (["validate", "--target", "file:{tmp}/deep.json"],
+     "deep.json: invalid JSON: maximum recursion depth exceeded"),
+    (["validate", "--target", "file:{tmp}/wide.csv"],
+     "wide.csv: field larger than field limit"),
+    # Values past what the engines can hold, rather than run out of memory on.
+    (["hadamard", "--theta", "0.7", "-T", "10000000000"],
+     "horizon 10000000000 is too large to address"),
+    (["hadamard", "--closed-form", "--theta", "0.7", "-T", "10000000000"],
+     "horizon 10000000000 is too large to address"),
+    (["figure", "--which", "fig1", "-T", "10000000000", "--out", "{tmp}"],
+     "horizon 10000000001 is too large to address"),
+    (["validate", "--target", "binomial:0.5", "-T", "10000000000"],
+     "horizon 10000000000 is too large to address"),
+    (["mc", "--schedule", "{tmp}/jumps.json", "-N", str(2 ** 63)],
+     "trajectories must be in [1, 2**63)"),
+    (["evolve", "--schedule", "{tmp}/coins.json", "--init", "1e200,0"],
+     "initial state norm inf != 1"),
+    (["hadamard", "--theta", "0.7", "-T", "3", "--asymptotic", "--eta",
+      "1e308"], "coin angle 2 eta = inf is not finite"),
 ]
 
 # Slice-table horizons that are not JSON integers >= 0, as JSON text, with
@@ -474,6 +504,12 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "overflow.csv").write_text(
         "t,n,value\n0,0,1\n1,-1,1e308\n1,1,1e308\n")
     (tmp_path / "sparse.csv").write_text("t,n,value\n0,0,1\n10000000,0,1\n")
+    (tmp_path / "latin1.csv").write_bytes(b"t,n,value\n0,0,1.0\xff\n")
+    (tmp_path / "latin1.json").write_bytes(b'{"horizon": 0, "slices": []}\xff')
+    (tmp_path / "latin1.cfg").write_bytes(b"\xff\xfe=1")
+    (tmp_path / "deep.json").write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    (tmp_path / "wide.csv").write_text(
+        '"t",n,value\n0,0,' + "1" * 2 ** 18 + "\n")  # quoted: read by rows
     # main returning at all, rather than raising, means no traceback.
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

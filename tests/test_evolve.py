@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_symmetry_condition_examples():
     a, b = symmetry_conditions(HomogeneousCoinParams(0.6, 0.0, 0.0))
     assert a == pytest.approx(math.cos(0.6), abs=1e-15)
     assert b == pytest.approx(math.cos(1.2), abs=1e-15)
+
+
+@pytest.mark.parametrize("params, angle", [
+    (HomogeneousCoinParams(0.7, 1e308, 0.0), "2 eta"),
+    (HomogeneousCoinParams(1e308, 0.0, 0.0), "2 theta"),
+    (HomogeneousCoinParams(0.7, 0.0, 0.0, alpha=1e308, beta=1e308),
+     "alpha + beta - gamma"),
+])
+def test_overflowing_angles_raise_walk_error(params, angle):
+    # Each parameter is finite, but an angle made of them overflows to inf,
+    # which has no sine or cosine.
+    message = re.escape(f"coin angle {angle} = inf is not finite")
+    with pytest.raises(WalkError, match=message):
+        symmetry_conditions(params)
+    if angle != "2 theta":  # the envelope doubles eta only
+        with pytest.raises(WalkError, match=message):
+            asymptotic_density(params, 1, 4)
 
 
 def test_exactly_symmetric_distribution():

@@ -2,6 +2,7 @@ import csv
 import io as io_module
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from walkforge import io
 from walkforge.lattice import (
     CoinSchedule,
     FormatError,
+    InfeasibleTargetError,
     JumpSchedule,
     ScalarField,
 )
@@ -234,14 +236,30 @@ def test_csv_writers_match_csv_module(tmp_path):
 
 def test_csv_reader_reports_first_faulty_row(tmp_path):
     # Blank rows count in the numbering; the duplicate on row 5 comes before
-    # the unparsable row 6 and is the one reported.
+    # the unparsable row 6 and is the one reported, after the file's path.
     path = tmp_path / "bad.csv"
+    where = re.escape(str(path))
     path.write_text("t,n,value\n0,0,1.0\n\n1,-1,0.5\n0,0,1.0\n1,x,0.5\n")
-    with pytest.raises(FormatError, match=r"row 5: duplicate"):
+    with pytest.raises(FormatError, match=rf"^{where}: row 5: duplicate"):
         io.read_probability_csv(path)
     path.write_text("t,n,value\n0,0,1.0\n\n1,-1,0.5\n1,1\n1,3,0.5\n")
-    with pytest.raises(FormatError, match=r"row 5: expected 3 columns, got 2"):
+    with pytest.raises(FormatError,
+                       match=rf"^{where}: row 5: expected 3 columns, got 2"):
         io.read_probability_csv(path)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (io.read_probability_csv, "t,n,value\n0,0,1.0\n1,-1,-0.5\n1,1,1.5\n"),
+    (io.read_probability_json, '{"horizon": 1, "slices": [[1.0], [-0.5, 1.5]]}'),
+], ids=["csv", "json"])
+def test_negative_probability_in_a_file_names_it(tmp_path, reader, text):
+    path = tmp_path / "rho.txt"
+    path.write_text(text)
+    with pytest.raises(InfeasibleTargetError,
+                       match=rf"^{re.escape(str(path))}: negative probability"
+                       ) as exc:
+        reader(path)
+    assert (exc.value.n, exc.value.t) == (-1, 1)
 
 
 def test_schedule_reader_reports_first_faulty_entry(tmp_path):
@@ -309,6 +327,12 @@ ROWS = ["t,n,value", "0,0,1.0", "1,-1,0.25", "1,1,0.75"]
     "t,n,value\n0,0,1.0\n2,0,1.0\n",
     "t,n,value\n",
     "",
+    # (1, 3) is off-support and shares flat index 3 with (-2, 2).
+    "t,n,value\n0,0,1.0\n1,3,0.5\n2,-2,0.5\n",
+    "t,n,value\n0,0,1.0\n2,-2,0.5\n1,3,0.5\n",
+    "t,n,value\n0,0,1.0\n-1,-1,0.5\n",
+    '"t","n","value"\n"0","0","1.0"\n"1","-1","0.25"\n"1","1","0.75"\n',
+    "t,n,value\n0,0,1.0\n1,-1,x\n0,0,1.0\n",
 ])
 def test_bulk_csv_reader_matches_row_reader(tmp_path, monkeypatch, text):
     # Same buffer, or the same error naming the same row, with or without
