@@ -45,10 +45,10 @@ from .evolve import (
     symmetry_conditions,
 )
 from .targets import (
-    TargetSpec,
     binomial_target,
     hadamard_target,
     load_target,
+    target_from_spec,
     uniform_target,
 )
 

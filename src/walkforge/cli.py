@@ -45,7 +45,7 @@ from .synthesis import (
     synthesize_coins,
     synthesize_jumps,
 )
-from .targets import TargetSpec
+from .targets import target_from_spec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -90,8 +90,7 @@ def _require(args, *names) -> None:
 
 def _target_sequence(args) -> ProbabilitySequence:
     _require(args, "target")
-    spec = TargetSpec.parse(args.target)
-    return spec.realize(getattr(args, "horizon", None))
+    return target_from_spec(args.target, getattr(args, "horizon", None))
 
 
 def cmd_validate(args) -> int:
@@ -344,10 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    try:
+    with io._reading(path):
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise WalkError(f"{path}: {exc}") from None
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -5,6 +5,7 @@ Four routes are kept side by side because they serve as one another's
 oracles: the real inhomogeneous recursion, the complex homogeneous
 recursion, the closed form built from the trigonometric kernel Lambda (one
 FFT per slice, O(T^2 log T)), and the exact classical master equation.
+Both complex engines step with one coin, :meth:`HomogeneousCoinParams.coin`.
 Monte Carlo trajectories use per-trajectory counter-based substreams keyed
 by (master seed, trajectory index) and advance in blocks that add integer
 counts, so the sample is bit-identical for any block size.
@@ -89,6 +90,16 @@ class HomogeneousCoinParams:
             np.exp(1j * self.gamma) * math.sin(self.eta),
         )
 
+    def coin(self) -> tuple[complex, complex, complex, complex]:
+        """The coin entries pp, pm, mp, mm of one step:
+        psi+ <- pp psi+ + pm psi-, psi- <- mp psi+ - mm psi-."""
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        ph_chi = np.exp(1j * self.chi)
+        return (ph_chi * np.exp(1j * self.alpha) * c,
+                ph_chi * np.exp(-1j * self.beta) * s,
+                ph_chi * np.exp(1j * self.beta) * s,
+                ph_chi * np.exp(-1j * self.alpha) * c)
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -159,13 +170,7 @@ def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWav
     plus = np.zeros(slice_offset(horizon + 1), dtype=complex)
     minus = np.zeros_like(plus)
     plus[0], minus[0] = params.initial_state()
-    c = math.cos(params.theta)
-    s = math.sin(params.theta)
-    ph_chi = np.exp(1j * params.chi)
-    pp = ph_chi * np.exp(1j * params.alpha) * c
-    pm = ph_chi * np.exp(-1j * params.beta) * s
-    mp = ph_chi * np.exp(1j * params.beta) * s
-    mm = ph_chi * np.exp(-1j * params.alpha) * c
+    pp, pm, mp, mm = params.coin()
     wp, wm = split_slices(plus), split_slices(minus)
     for t in range(horizon):
         wp[t + 1][1:] = pp * wp[t] + pm * wm[t]
@@ -217,15 +222,11 @@ def closed_form_wavefield(params: HomogeneousCoinParams,
     if abs(math.sin(params.theta)) < MIN_SIN_THETA:
         return evolve_qw_complex(params, horizon)
     p00, m00 = params.initial_state()
-    chi, alpha = params.chi, params.alpha
-    c = math.cos(params.theta)
-    s = math.sin(params.theta)
-    p11 = np.exp(1j * chi) * (
-        np.exp(1j * alpha) * math.cos(params.eta) * c
-        + np.exp(1j * (params.gamma - params.beta)) * math.sin(params.eta) * s)
-    m11 = np.exp(1j * chi) * (
-        np.exp(1j * params.beta) * math.cos(params.eta) * s
-        - np.exp(1j * (params.gamma - alpha)) * math.sin(params.eta) * c)
+    pp, pm, mp, mm = params.coin()
+    p11, m11 = pp * p00 + pm * m00, mp * p00 - mm * m00
+    # chi and alpha multiply t and n below: reduced to (-pi, pi] through
+    # their own phasors, which a float 2 pi modulus would not keep exact.
+    chi, alpha = np.angle(np.exp(1j * np.array([params.chi, params.alpha])))
     plus = np.empty(slice_offset(horizon + 1), dtype=complex)
     minus = np.empty_like(plus)
     lam = lambda_slice(params.theta, 0)

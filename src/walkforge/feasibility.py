@@ -45,7 +45,9 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
         # third entry repeats the scalar recursion's roundings exactly.  The
         # right-to-left pass adds the triples negated in reverse order; the
         # first padding triple, (cur[t], 0, -2 nxt[t + 1]), negated after
-        # the zeros before it, starts it with 2 nxt[t + 1] - cur[t].
+        # the zeros before it, starts it with 2 nxt[t + 1] - cur[t].  rtl
+        # keeps its own fills: a negated, reversed view of ltr gives the
+        # same bits but made this function 15 % slower at T = 2000 (2-core VM).
         cur, nxt = x[:-1], x[1:]
         steps, m = cur.shape
         ltr, rtl = np.empty((2, steps, 3 * m - 2))
@@ -122,7 +124,7 @@ def validate_sequence(rho: ProbabilitySequence,
     rs = rho.buf[:len(js)]
     aj = np.abs(js)
     zero = rs == 0.0
-    violated = np.where(zero, aj > tol, aj > rs + tol)
+    violated = aj > rs + tol  # where rho = 0, rs + tol is exactly tol
     undefined = zero & ~violated
     boundary = ~zero & ~violated & (np.abs(aj - rs) <= tol)
 

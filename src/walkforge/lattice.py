@@ -16,8 +16,8 @@ steps from flat index i to i + t + 1 and i + t + 2, (n -+ 1, t + 1).
 All containers are immutable after construction (the buffers and their
 views are read-only) and therefore safe to share across threads.
 
-Sums over time slices run batched: blocks of slices are copied into one
-reused 2-D scratch array and summed by one ``cumsum`` along its rows, which
+Sums over time slices run batched: blocks of slices are copied into a
+zero-padded 2-D array and summed by one ``cumsum`` along its rows, which
 still adds each slice strictly left to right.  Prefix and suffix tables are
 compensated by cascaded TwoSum, and slice totals are exactly rounded: the
 cascaded total, certified against its error bound, or ``math.fsum`` where
@@ -152,20 +152,17 @@ _BLOCK_SIZE = 1 << 15
 
 def _blocks(slices, extra: int = 0):
     """``slices`` t = 0, 1, ..., of t + 1 entries each, copied a block at a
-    time into one reused 2-D scratch array, one per row, left-aligned and
-    zero-padded: pairs (a, x), x holding slices a, a + 1, ... and after them
-    ``extra`` more, where there are.  Adding zero is exact, so a ``cumsum``
-    along a row adds its slice left to right as a 1-D one would.  Each x is
-    overwritten by the next."""
-    scratch = np.empty((_BLOCK + extra) * len(slices))
+    time into a 2-D array, one per row, left-aligned and zero-padded: pairs
+    (a, x), x holding slices a, a + 1, ... and after them ``extra`` more,
+    where there are.  Adding zero is exact, so a ``cumsum`` along a row adds
+    its slice left to right as a 1-D one would."""
     a = 0
     while a < len(slices) - extra:
         step = max(1, min(_BLOCK, _BLOCK_SIZE // (a + 1)))
         rows = min(step + extra, len(slices) - a)
-        x = scratch[:rows * (a + rows)].reshape(rows, a + rows)
+        x = np.zeros((rows, a + rows))
         for t, row in enumerate(x, a):
             row[:t + 1] = slices[t]
-            row[t + 1:] = 0.0
         yield a, x
         a += step
 

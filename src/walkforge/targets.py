@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,53 +58,40 @@ def load_target(path) -> ProbabilitySequence:
     return read_probability_csv(path)
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """A parsed ``--target`` argument: which distribution, with parameters."""
-
-    kind: str
-    p: float | None = None
-    angles: tuple[float, ...] = field(default=())
-    path: str | None = None
-
-    @classmethod
-    def parse(cls, text: str) -> "TargetSpec":
-        head, _, rest = text.partition(":")
-        if head == "uniform":
-            return cls(kind="uniform")
-        if head == "binomial":
-            try:
-                return cls(kind="binomial", p=float(rest))
-            except ValueError:
-                raise WalkError(f"bad binomial target {text!r}: expected "
-                                "binomial:p") from None
-        if head == "hadamard":
-            try:
-                angles = tuple(float(x) for x in rest.split(","))
-            except ValueError:
-                raise WalkError(f"bad hadamard target {text!r}") from None
-            if len(angles) not in (3, 6):
-                raise WalkError(
-                    "hadamard target takes theta,eta,gamma[,alpha,beta,chi]")
-            return cls(kind="hadamard", angles=angles)
-        if head == "file":
-            if not rest:
-                raise WalkError("file target needs a path: file:<path>")
-            return cls(kind="file", path=rest)
+def target_from_spec(spec: str, horizon: int | None) -> ProbabilitySequence:
+    """The distribution a ``--target`` argument names: ``uniform``,
+    ``binomial:p``, ``hadamard:theta,eta,gamma[,alpha,beta,chi]`` or
+    ``file:<path>``.  A file fixes its own horizon, which ``horizon``, if
+    given, must match; every other kind requires ``horizon``."""
+    head, _, rest = spec.partition(":")
+    if head == "binomial":
+        try:
+            p = float(rest)
+        except ValueError:
+            raise WalkError(f"bad binomial target {spec!r}: expected "
+                            "binomial:p") from None
+    elif head == "hadamard":
+        try:
+            angles = tuple(float(x) for x in rest.split(","))
+        except ValueError:
+            raise WalkError(f"bad hadamard target {spec!r}") from None
+        if len(angles) not in (3, 6):
+            raise WalkError(
+                "hadamard target takes theta,eta,gamma[,alpha,beta,chi]")
+    elif head == "file":
+        if not rest:
+            raise WalkError("file target needs a path: file:<path>")
+        rho = load_target(rest)
+        if horizon not in (None, rho.horizon):
+            raise WalkError(f"horizon {horizon} does not match "
+                            f"{rest}, which holds T = {rho.horizon}")
+        return rho
+    elif head != "uniform":
         raise WalkError(f"unknown target kind {head!r}; expected one of {KINDS}")
-
-    def realize(self, horizon: int | None) -> ProbabilitySequence:
-        if self.kind == "file":
-            rho = load_target(self.path)
-            if horizon not in (None, rho.horizon):
-                raise WalkError(f"horizon {horizon} does not match "
-                                f"{self.path}, which holds T = {rho.horizon}")
-            return rho
-        if horizon is None:
-            raise WalkError(f"target kind {self.kind!r} requires a horizon")
-        if self.kind == "uniform":
-            return uniform_target(horizon)
-        if self.kind == "binomial":
-            return binomial_target(self.p, horizon)
-        theta, eta, gamma = self.angles[:3]
-        return hadamard_target(theta, eta, gamma, horizon, *self.angles[3:])
+    if horizon is None:
+        raise WalkError(f"target kind {head!r} requires a horizon")
+    if head == "uniform":
+        return uniform_target(horizon)
+    if head == "binomial":
+        return binomial_target(p, horizon)
+    return hadamard_target(*angles[:3], horizon, *angles[3:])

@@ -177,15 +177,26 @@ def test_hadamard_routes_agree(capsys):
         assert np.allclose(sa, sb, atol=1e-12)
 
 
-@pytest.mark.parametrize("theta", [0.02, 1e-3, 1e-5])
-def test_hadamard_closed_form_near_ballistic_coin(capsys, theta):
-    # 0.02 runs the kernel; 1e-3 and 1e-5 fall back to the recursion.
-    args = ["hadamard", "--theta", repr(theta), "--eta", "0.4", "-T", "360"]
+def _closed_form_matches_recursion(capsys, *args):
+    args = ["hadamard", *args, "--eta", "0.4", "-T", "360"]
     code, out_a, _ = run(capsys, *args, "--recursion")
     code_b, out_b, err = run(capsys, *args, "--closed-form")
     assert code == 0 and code_b == 0, err
     for sa, sb in zip(json.loads(out_a)["slices"], json.loads(out_b)["slices"]):
         assert np.max(np.abs(np.subtract(sa, sb))) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.02, 1e-3, 1e-5])
+def test_hadamard_closed_form_near_ballistic_coin(capsys, theta):
+    # 0.02 runs the kernel; 1e-3 and 1e-5 fall back to the recursion.
+    _closed_form_matches_recursion(capsys, "--theta", repr(theta))
+
+
+@pytest.mark.parametrize("angles", [["--alpha", "1e6"], ["--beta", "1e6"],
+                                    ["--chi", "1e300", "--alpha", "1e300"]])
+def test_hadamard_closed_form_large_angles(capsys, angles):
+    _closed_form_matches_recursion(capsys, "--theta", "0.7", "--gamma", "1.1",
+                                   *angles)
 
 
 @pytest.mark.parametrize("route", ["--recursion", "--closed-form",

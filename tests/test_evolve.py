@@ -167,19 +167,35 @@ def test_lambda_recursion_on_support(theta):
     assert worst < 1e-12
 
 
-def test_closed_form_matches_recursion():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        params = HomogeneousCoinParams(
-            rng.uniform(0.2, math.pi / 2 - 0.2), rng.uniform(0, math.pi / 2),
-            rng.uniform(0, 2 * math.pi), alpha=rng.uniform(0, 2 * math.pi),
-            beta=rng.uniform(0, 2 * math.pi), chi=rng.uniform(0, 2 * math.pi))
-        a = closed_form_wavefield(params, 20)
-        b = evolve_qw_complex(params, 20)
-        for t in range(21):
-            assert np.allclose(a.plus_slices[t], b.plus_slices[t], atol=1e-12)
-            assert np.allclose(a.minus_slices[t], b.minus_slices[t],
-                               atol=1e-12)
+def _random_coins(seed, count):
+    rng = np.random.default_rng(seed)
+    return [HomogeneousCoinParams(
+        rng.uniform(0.2, math.pi / 2 - 0.2), rng.uniform(0, math.pi / 2),
+        rng.uniform(0, 2 * math.pi), alpha=rng.uniform(0, 2 * math.pi),
+        beta=rng.uniform(0, 2 * math.pi), chi=rng.uniform(0, 2 * math.pi))
+        for _ in range(count)]
+
+
+# Angles far outside [0, 2 pi): the closed form multiplies chi and alpha by
+# t and n, so it must reduce them as the coin's own phasors do.  Any angle
+# reduced by a float 2 pi modulus instead is off by ~4e-5 at gamma = 1e12
+# and by ~1.5 at chi = 1e300.
+LARGE_ANGLES = [
+    HomogeneousCoinParams(0.7, 0.4, 1.1, alpha=1e6),
+    HomogeneousCoinParams(0.7, 0.4, 1.1, beta=1e6),
+    HomogeneousCoinParams(0.7, 0.4, 1e12),
+    HomogeneousCoinParams(0.7, 0.4, -7e200, alpha=1e15, beta=-3e14,
+                          chi=1e300),
+]
+
+
+@pytest.mark.parametrize("params", _random_coins(17, 10) + LARGE_ANGLES)
+def test_closed_form_matches_recursion(params):
+    a = closed_form_wavefield(params, 20)
+    b = evolve_qw_complex(params, 20)
+    for t in range(21):
+        assert np.allclose(a.plus_slices[t], b.plus_slices[t], atol=1e-12)
+        assert np.allclose(a.minus_slices[t], b.minus_slices[t], atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.02, 0.3, 0.7, 1.2, math.pi - 0.02])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from walkforge import io
 from walkforge.feasibility import validate_sequence
 from walkforge.lattice import FormatError, WalkError
 from walkforge.targets import (
-    TargetSpec,
     binomial_target,
     hadamard_target,
     load_target,
+    target_from_spec,
     uniform_target,
 )
 
@@ -101,22 +102,44 @@ def test_load_target_parity_error_names_row(tmp_path):
         load_target(path)
 
 
-def test_target_spec_parsing():
-    assert TargetSpec.parse("uniform").kind == "uniform"
-    assert TargetSpec.parse("binomial:0.3").p == 0.3
-    spec = TargetSpec.parse("hadamard:0.785,1.178,0")
-    assert spec.angles == (0.785, 1.178, 0.0)
-    assert TargetSpec.parse("file:foo.csv").path == "foo.csv"
-    with pytest.raises(WalkError):
-        TargetSpec.parse("gaussian")
-    with pytest.raises(WalkError):
-        TargetSpec.parse("binomial:x")
-    with pytest.raises(WalkError):
-        TargetSpec.parse("hadamard:1,2")
+@pytest.mark.parametrize("spec, build", [
+    ("uniform", lambda: uniform_target(5)),
+    ("binomial:0.3", lambda: binomial_target(0.3, 5)),
+    ("hadamard:0.785,1.178,0", lambda: hadamard_target(0.785, 1.178, 0.0, 5)),
+    ("hadamard:0.7,0.4,1.1,2,3,4",
+     lambda: hadamard_target(0.7, 0.4, 1.1, 5, 2.0, 3.0, 4.0)),
+])
+def test_target_from_spec_matches_builder(spec, build):
+    assert np.array_equal(target_from_spec(spec, 5).buf, build().buf)
 
 
-def test_target_spec_realize():
-    rho = TargetSpec.parse("binomial:0.5").realize(3)
-    assert np.allclose(rho.slices[3], [1 / 8, 3 / 8, 3 / 8, 1 / 8], atol=1e-15)
-    with pytest.raises(WalkError):
-        TargetSpec.parse("uniform").realize(None)
+@pytest.mark.parametrize("horizon", [None, 5])
+def test_target_from_spec_reads_file(tmp_path, horizon):
+    path = tmp_path / "t.json"
+    io.write_field_json(binomial_target(0.3, 5), path)
+    rho = target_from_spec(f"file:{path}", horizon)
+    assert np.array_equal(rho.buf, load_target(path).buf)
+
+
+@pytest.mark.parametrize("horizon", [None, 3])
+@pytest.mark.parametrize("spec, message", [
+    ("gaussian", "unknown target kind 'gaussian'; expected one of "
+                 "('uniform', 'binomial', 'hadamard', 'file')"),
+    ("binomial:x", "bad binomial target 'binomial:x': expected binomial:p"),
+    ("hadamard:a,b,c", "bad hadamard target 'hadamard:a,b,c'"),
+    ("hadamard:1,2", "hadamard target takes theta,eta,gamma[,alpha,beta,chi]"),
+    ("file:", "file target needs a path: file:<path>"),
+])
+def test_target_from_spec_rejects_bad_spec(spec, message, horizon):
+    # A malformed spec is reported before a missing horizon.
+    with pytest.raises(WalkError, match=f"^{re.escape(message)}$"):
+        target_from_spec(spec, horizon)
+
+
+@pytest.mark.parametrize("spec", ["uniform", "binomial:0.5",
+                                  "hadamard:0.7,0.4,1.1"])
+def test_target_from_spec_requires_horizon(spec):
+    kind = spec.partition(":")[0]
+    with pytest.raises(WalkError, match=re.escape(
+            f"target kind {kind!r} requires a horizon")):
+        target_from_spec(spec, None)
