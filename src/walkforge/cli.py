@@ -36,6 +36,7 @@ from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
     WalkError,
+    flat_sites,
     probability_from_wavefield,
     site_positions,
 )
@@ -175,7 +176,9 @@ def cmd_mc(args) -> int:
         }
         _print_json(doc)
     else:
-        io.write_mc_csv(rho_hat, stderr, out)
+        out = Path(out)
+        io.write_mc_csv(rho_hat, stderr,
+                        out / "mc.csv" if out.is_dir() else out)
     return EXIT_OK
 
 
@@ -214,13 +217,17 @@ def cmd_roundtrip(args) -> int:
         evolved = probability_from_wavefield(evolve_qw(schedule))
     else:
         evolved = evolve_rw_exact(schedule)
-    max_err = float(np.max(np.abs(evolved.buf - rho.buf)))
+    err = np.abs(evolved.buf - rho.buf)
+    worst = int(np.argmax(err))  # the earliest, then leftmost, largest error
+    n, t = flat_sites(worst)
+    max_err = float(err[worst])
     passed = max_err < ROUNDTRIP_TOL
     _print_json({
         "schema_version": io.SCHEMA_VERSION,
         "walk": args.walk,
         "target": args.target,
         "max_error": max_err,
+        "max_error_site": {"n": int(n), "t": int(t)},
         "tolerance": ROUNDTRIP_TOL,
         "pass": passed,
     })
@@ -303,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None)
     p.add_argument("-N", "--trajectories", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="CSV path (default: JSON to stdout)")
+    p.add_argument("--out", default=None,
+                   help="CSV file, or a directory for mc.csv "
+                        "(default: JSON to stdout)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("hadamard", help="homogeneous complex walk distribution")

@@ -8,7 +8,9 @@ FFT per slice, O(T^2 log T)), and the exact classical master equation.
 Both complex engines step with one coin, :meth:`HomogeneousCoinParams.coin`.
 Monte Carlo trajectories use per-trajectory counter-based substreams keyed
 by (master seed, trajectory index) and advance in blocks that add integer
-counts, so the sample is bit-identical for any block size.
+counts.  The blocks are shared among forked workers, one per CPU the
+process may run on, so the sample is bit-identical for any block size and
+any CPU count.
 
 The schedule engines step an undefined (NaN) parameter as theta = 0 or
 p = 0, which keeps the mass; :func:`_check_coverage` alone judges it dead.
@@ -17,6 +19,7 @@ p = 0, which keeps the mass; :func:`_check_coverage` alone judges it dead.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,24 +307,24 @@ def evolve_rw_exact(schedule: JumpSchedule,
     return ProbabilitySequence(rho)
 
 
-def simulate_rw(schedule: JumpSchedule,
-                cfg: McConfig) -> tuple[ProbabilitySequence, ScalarField]:
-    """Monte Carlo estimate of the walk distribution with standard errors.
+def _usable_cpus() -> int:
+    """CPUs this process may run on and fork workers for: 1 where the OS
+    reports no affinity mask or has no fork."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
-    Returns the empirical frequencies over ``cfg.trajectories`` independent
-    walkers and the per-site standard error sqrt(rho_hat (1 - rho_hat) / N).
-    Fully reproducible given (seed, N, horizon).  Trajectories advance in
-    blocks and add integer counts, so memory is O(block * T + T^2),
-    independent of N.
-    """
-    steps = _schedule_steps(schedule, cfg.horizon)
+
+def _mc_blocks(schedule: JumpSchedule, cfg: McConfig, steps: int,
+               starts, counts: np.ndarray) -> None:
+    """Add to ``counts`` the visits after t = 0 of the trajectories in the
+    blocks that begin at ``starts``; trajectory i draws its uniforms from
+    Philox(key=[seed, i])."""
     n_traj = cfg.trajectories
     gen = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
     fresh = gen.bit_generator.state  # counter zero, buffer empty
-    counts = np.zeros(slice_offset(steps + 1), dtype=np.int64)
-    counts[0] = n_traj
     draws = np.empty((min(_MC_BLOCK, n_traj), steps))
-    for start in range(0, n_traj, _MC_BLOCK):
+    for start in starts:
         block = draws[:n_traj - start]
         for i, row in enumerate(block, start):
             fresh["state"]["key"][1] = i  # the state of Philox(key=[seed, i])
@@ -333,7 +336,74 @@ def simulate_rw(schedule: JumpSchedule,
             k += block[:, t] < schedule.value_slices[t][k]
             hist = np.bincount(k)
             counts[slice_offset(t + 1):][:len(hist)] += hist
-    del draws, block, row  # free the draws before the estimates allocate
+
+
+def _mc_forked(schedule: JumpSchedule, cfg: McConfig, steps: int,
+               starts, workers: int) -> np.ndarray:
+    """The counts of :func:`_mc_blocks` over ``starts``, summed from
+    ``workers`` forked processes; worker w runs ``starts[w::workers]``
+    into its own row of an anonymous shared mapping."""
+    import mmap
+    import signal
+
+    size = slice_offset(steps + 1)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * workers * size),
+                           np.int64).reshape(workers, size)
+    pids = []  # started and not yet reaped
+    try:
+        for w in range(workers):
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller
+                status = 1
+                try:
+                    _mc_blocks(schedule, cfg, steps, starts[w::workers],
+                               shared[w])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        while pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+            if code < 0:
+                raise WalkError(f"Monte Carlo worker killed by signal {-code}")
+            if code:
+                raise WalkError(
+                    f"Monte Carlo worker exited with status {code}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    counts = shared[0]
+    for row in shared[1:]:
+        counts += row
+    return counts
+
+
+def simulate_rw(schedule: JumpSchedule,
+                cfg: McConfig) -> tuple[ProbabilitySequence, ScalarField]:
+    """Monte Carlo estimate of the walk distribution with standard errors.
+
+    Returns the empirical frequencies over ``cfg.trajectories`` independent
+    walkers and the per-site standard error sqrt(rho_hat (1 - rho_hat) / N).
+    Fully reproducible given (seed, N, horizon).  Trajectories advance in
+    blocks and add integer counts.  With W = min(CPUs the process may run
+    on, blocks) >= 2 the blocks are shared among W forked workers, and the
+    caller sums their counts; the sample is bit-identical for any W.
+    Memory is O(W * (block * T + T^2)) across the workers, independent of N.
+    The workers hold the draws and do the sampling, so the caller's peak
+    RSS and ``time.process_time`` leave both out.
+    """
+    steps = _schedule_steps(schedule, cfg.horizon)
+    n_traj = cfg.trajectories
+    starts = range(0, n_traj, _MC_BLOCK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        counts = np.zeros(slice_offset(steps + 1), dtype=np.int64)
+        _mc_blocks(schedule, cfg, steps, starts, counts)
+    else:
+        counts = _mc_forked(schedule, cfg, steps, starts, workers)
+    counts[0] = n_traj
     # A walker at an undefined site steps left (u < NaN is False), as p = 0
     # does; the counts up to its first visit, and the error, are exact.
     _check_coverage(schedule, counts[:slice_offset(steps)],

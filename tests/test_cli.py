@@ -11,9 +11,11 @@ import pytest
 
 import walkforge
 from oracles import random_jump_target
-from walkforge import io
+from walkforge import cli, evolve, io
 from walkforge.cli import main
-from walkforge.lattice import CoinSchedule, JumpSchedule, ProbabilitySequence
+from walkforge.evolve import evolve_rw_exact
+from walkforge.lattice import (CoinSchedule, JumpSchedule,
+                               ProbabilitySequence, slice_offset)
 from walkforge.targets import binomial_target
 
 
@@ -141,6 +143,62 @@ def test_synth_rw_then_mc_csv(capsys, tmp_path):
     assert set(rows[0]) == {"t", "n", "rho", "stderr"}
     total = sum(float(r["rho"]) for r in rows if r["t"] == "8")
     assert total == pytest.approx(1.0, abs=1e-12)
+    # A directory gets mc.csv, with the same bytes.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, _ = run(capsys, "mc", "--schedule", str(sched_path),
+                     "-N", "2000", "--seed", "11", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "mc.csv").read_bytes() == mc_path.read_bytes()
+
+
+def test_mc_worker_failure_exits_2(capsys, tmp_path, monkeypatch):
+    def out_of_memory(*_):
+        raise MemoryError
+
+    sched_path = tmp_path / "jumps.json"
+    io.write_schedule_json(JumpSchedule([np.full(t + 1, 0.5)
+                                         for t in range(5)]), sched_path)
+    monkeypatch.setattr(evolve, "_MC_BLOCK", 7)
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evolve, "_mc_blocks", out_of_memory)
+    code, out, err = run(capsys, "mc", "--schedule", str(sched_path),
+                         "-N", "20")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "Monte Carlo worker exited with status 1"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_roundtrip_names_its_worst_site(capsys, monkeypatch):
+    # binomial:0.5 round-trips exactly: every error is 0, and the first
+    # site, (0, 0), is the worst.  Then errors of 2^-12 at t = 2 and 2^-10
+    # at t = 3 and 4, each slice still summing to one: the worst is the
+    # leftmost site at t = 3.
+    argv = ["roundtrip", "--target", "binomial:0.5", "-T", "4",
+            "--walk", "rw"]
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["max_error"] == 0.0
+    assert doc["max_error_site"] == {"n": 0, "t": 0}
+
+    def perturbed(schedule):
+        buf = evolve_rw_exact(schedule).buf.copy()
+        for n, t, err in [(-2, 2, 2 ** -12), (0, 2, -2 ** -12),
+                          (-1, 3, 2 ** -10), (1, 3, -2 ** -10),
+                          (0, 4, 2 ** -10), (2, 4, -2 ** -10)]:
+            buf[slice_offset(t) + (n + t) // 2] += err
+        return ProbabilitySequence(buf)
+
+    monkeypatch.setattr(cli, "evolve_rw_exact", perturbed)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "schema_version": io.SCHEMA_VERSION, "walk": "rw",
+        "target": "binomial:0.5", "max_error": 2 ** -10,
+        "max_error_site": {"n": -1, "t": 3}, "tolerance": 1e-10,
+        "pass": False}
 
 
 def test_evolve_stdout_json(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -358,12 +360,17 @@ def documented_walks(seed, n_traj, probs):
 
 
 MC_BLOCKS = [1, 7, 10 ** 5]
+# Patched CPU counts: 1 runs the blocks in process; 2 and 3 fork that many
+# workers, or one per block where there are fewer blocks.
+MC_CPUS = [1, 2, 3]
 
 
+@pytest.mark.parametrize("cpus", MC_CPUS)
 @pytest.mark.parametrize("block", MC_BLOCKS)
 @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
-def test_mc_follows_the_documented_stream(seed, block, monkeypatch):
+def test_mc_follows_the_documented_stream(seed, block, cpus, monkeypatch):
     monkeypatch.setattr(evolve, "_MC_BLOCK", block)
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: cpus)
     steps, n_traj = 6, 300
     probs = [np.linspace(0.2, 0.8, t + 1) for t in range(steps)]
     ks = documented_walks(seed, n_traj, probs)
@@ -376,7 +383,8 @@ def test_mc_follows_the_documented_stream(seed, block, monkeypatch):
         assert (rho.slices[t] == counts / n_traj).all()
 
 
-def test_mc_coverage_error_does_not_depend_on_block_size(monkeypatch):
+@pytest.mark.parametrize("cpus", MC_CPUS)
+def test_mc_coverage_error_does_not_depend_on_block_size(cpus, monkeypatch):
     # Undefined: (n=3, t=3), after three right steps, and (n=-5, t=5),
     # after five left ones.  Trajectories 0..6 reach only the second, so
     # with blocks of 7 a later block reaches an undefined site first.
@@ -387,6 +395,7 @@ def test_mc_coverage_error_does_not_depend_on_block_size(monkeypatch):
     ks = documented_walks(seed, n_traj, probs)
     assert not (ks[:7, 3] == 3).any() and (ks[:7, 5] == 0).any()
     assert (ks[7:, 3] == 3).any()
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: cpus)
     messages = set()
     for block in MC_BLOCKS:
         monkeypatch.setattr(evolve, "_MC_BLOCK", block)
@@ -399,8 +408,11 @@ def test_mc_coverage_error_does_not_depend_on_block_size(monkeypatch):
         "jump probability undefined at visited site (n=3, t=3)"}
 
 
-def test_mc_memory_does_not_grow_with_trajectories():
+def test_mc_memory_does_not_grow_with_trajectories(monkeypatch):
     # The 4 000 trajectories fill two blocks; 16 times as many add none.
+    # tracemalloc sees no forked worker, so the blocks run in process: the
+    # code each worker runs.
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: 1)
     schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(200)])
     peaks = []
     for n_traj in (4_000, 64_000):
@@ -412,6 +424,57 @@ def test_mc_memory_does_not_grow_with_trajectories():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_worker(*_):
+    raise MemoryError
+
+
+def killed_worker(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (failing_worker, "worker exited with status 1"),
+    (killed_worker, f"worker killed by signal {int(signal.SIGKILL)}"),
+])
+def test_mc_worker_failure_is_a_walk_error(blocks, message, monkeypatch):
+    monkeypatch.setattr(evolve, "_MC_BLOCK", 7)
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evolve, "_mc_blocks", blocks)
+    schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(5)])
+    with pytest.raises(WalkError, match=message):
+        simulate_rw(schedule, McConfig(trajectories=20, seed=0, horizon=5))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("call, fails_at, fault", [
+    ("fork", 2, OSError("no more processes")),  # one worker has started
+    ("waitpid", 1, KeyboardInterrupt()),  # both workers have started
+])
+def test_mc_parent_fault_reaps_its_workers(call, fails_at, fault,
+                                           monkeypatch):
+    real, calls = getattr(os, call), []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == fails_at:
+            raise fault
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "_MC_BLOCK", 7)
+    monkeypatch.setattr(evolve, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, call, faulty)
+    schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(5)])
+    with pytest.raises(type(fault)):
+        simulate_rw(schedule, McConfig(trajectories=20, seed=0, horizon=5))
+    monkeypatch.undo()
+    assert_no_child_left()
 
 
 def test_exact_rw_holds_no_copy_of_the_schedule():
