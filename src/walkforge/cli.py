@@ -103,21 +103,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.feasible else EXIT_FAIL
 
 
-def _feasible_flux(rho: ProbabilitySequence):
-    """The flux the feasibility check of ``rho`` computed; raises unless
-    ``rho`` is feasible."""
+def _synthesize(rho: ProbabilitySequence, walk: str):
+    """The ``walk`` schedule of a feasible ``rho``, from the check's split."""
     report = validate_sequence(rho)
     if not report.feasible:
         sites = ", ".join(f"(n={v.n}, t={v.t})" for v in report.violations[:5])
         raise WalkError(f"target is infeasible; flux bound violated at {sites}")
-    return report._flux
-
-
-def _synthesize(rho: ProbabilitySequence, walk: str):
-    if walk == "qw":
-        _feasible_flux(rho)  # not kept: coin synthesis sets the peak memory
-        return synthesize_coins(reconstruct_wavefield(rho))
-    return synthesize_jumps(rho, _flux=_feasible_flux(rho))
+    if walk == "rw":
+        return synthesize_jumps(rho, _split=report._split)
+    w = reconstruct_wavefield(rho, _split=report._split)
+    del report  # not kept: coin synthesis sets the peak memory
+    return synthesize_coins(w)
 
 
 def cmd_synth(args) -> int:

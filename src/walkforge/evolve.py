@@ -47,6 +47,9 @@ DEAD_MASS = 1e-12
 # Trajectories per Monte Carlo block: it bounds memory, not the sample.
 _MC_BLOCK = 2048
 
+# Bytes in which a failing Monte Carlo worker names its exception.
+_MC_ERROR_BYTES = 256
+
 # The kernel's terms, and their rounding, grow like 1 / |sin theta| toward
 # ballistic coins; below this |sin theta| the closed form uses the recursion.
 MIN_SIN_THETA = 1e-2
@@ -342,34 +345,39 @@ def _mc_forked(schedule: JumpSchedule, cfg: McConfig, steps: int,
                starts, workers: int) -> np.ndarray:
     """The counts of :func:`_mc_blocks` over ``starts``, summed from
     ``workers`` forked processes; worker w runs ``starts[w::workers]``
-    into its own row of an anonymous shared mapping."""
+    into its own row of an anonymous shared mapping, and a worker that
+    fails writes the name and message of its exception after the rows."""
     import mmap
     import signal
 
     size = slice_offset(steps + 1)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * workers * size),
-                           np.int64).reshape(workers, size)
+    buf = mmap.mmap(-1, (8 * size + _MC_ERROR_BYTES) * workers)
+    shared = np.ndarray((workers, size), np.int64, buf)
+    errors = np.ndarray(workers, f"S{_MC_ERROR_BYTES}", buf, shared.nbytes)
     pids = []  # started and not yet reaped
     try:
         for w in range(workers):
             pid = os.fork()
             if pid == 0:  # the worker never returns into the caller
-                status = 1
                 try:
                     _mc_blocks(schedule, cfg, steps, starts[w::workers],
                                shared[w])
-                    status = 0
+                    os._exit(0)
+                except BaseException as exc:  # cut to fit, NUL-padded
+                    errors[w] = ": ".join(filter(None, (
+                        type(exc).__name__, str(exc)))).encode()
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             pids.append(pid)
-        while pids:
+        for w in range(workers):
             code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pids.pop(0)
             if code < 0:
                 raise WalkError(f"Monte Carlo worker killed by signal {-code}")
             if code:
-                raise WalkError(
-                    f"Monte Carlo worker exited with status {code}")
+                raise WalkError(": ".join(filter(None, (
+                    f"Monte Carlo worker exited with status {code}",
+                    errors[w].decode(errors="replace")))))
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

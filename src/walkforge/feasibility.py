@@ -1,12 +1,11 @@
 """Feasibility of a target distribution under nearest-neighbor dynamics.
 
-The probability-conservation recursion determines the flux field J(n, t)
-uniquely from rho; a sequence is realisable by some walk (quantum or
-classical) exactly when |J(n, t)| <= rho(n, t) everywhere.  The flux is
-reconstructed in real space by a left-to-right recursion anchored at the
-left cone edge; a redundant right-to-left pass anchored at the right edge
-must agree with it, which catches non-conserving (malformed) inputs before
-any synthesis is attempted.
+Conservation splits the mass of each site in two: a(n, t) = (rho + J) / 2
+passes right and b(n, t) = (rho - J) / 2 left, J = a - b the flux.  Partial
+sums of two consecutive slices fix both, so a sequence is realisable by
+some walk (quantum or classical) exactly when a, b >= 0, i.e. |J| <= rho.
+One scan, :func:`_split`, computes a and b for the feasibility report, the
+wave field and the jump probabilities alike.
 """
 
 from __future__ import annotations
@@ -15,66 +14,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (FluxField, IntegrityError, ProbabilitySequence,
-                      WalkError, _blocks, flat_sites, neighbours,
-                      slice_offset)
+from .lattice import (FluxField, ProbabilitySequence, WalkError, _blocks,
+                      flat_sites, neighbours, prefix_sums, slice_offset,
+                      suffix_sums)
 
 DEFAULT_TOL = 1e-10
 
-# Maximum allowed disagreement between the two recursion directions.
-PASS_AGREEMENT = 1e-10
+
+def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
+    """a(n, t) = psi+^2(n+1, t+1), the mass right of n at t + 1 less that
+    right of n at t, and b(n, t) = psi-^2(n-1, t+1), likewise on the left,
+    for t = 0..T-1 in slice order, unclamped.  Each value comes from the
+    compensated partial sums anchored at the nearer cone edge, which keeps
+    low-probability tails relatively accurate."""
+    right = np.empty(slice_offset(rho.horizon))
+    left = np.empty_like(right)
+    for a, x in _blocks(rho.slices, extra=1):
+        # Rows of x are slices a, a + 1, ..., zero-padded: row i is slice
+        # t = a + i and row i + 1 slice t + 1; column k is site k of t.
+        pre = prefix_sums(x)            # pre[i, k] = sum_{j <= k} x[i, j]
+        suf = suffix_sums(x)            # suf[i, k] = sum_{j >= k} x[i, j]
+        pre_p, pre_c = pre[:-1, :-1], pre[1:, :-1]
+        below = np.zeros_like(pre_p)    # sum_{j < k} of slice t
+        below[:, 1:] = pre_p[:, :-1]
+        above = suf[1:, 1:-1]           # sum_{j > k} of slice t + 1
+        ab = np.where(above <= 0.5, above - suf[:-1, 1:-1], pre_p - pre_c)
+        bb = np.where(pre_c <= 0.5, pre_c - below, suf[:-1, :-2] - above)
+        end = a + len(x) - 1
+        sites = np.arange(x.shape[1] - 1) <= np.arange(a, end)[:, None]
+        rows = slice(slice_offset(a), slice_offset(end))
+        right[rows], left[rows] = ab[sites], bb[sites]
+    return right, left
 
 
 def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
-    """Reconstruct J(n, t) for t = 0..T-1 from the conservation recursion.
-
-    Left-to-right: J(-t, t) = rho(-t, t) - 2 rho(-t-1, t+1), then
-    J(n+2, t) = J(n, t) + rho(n, t) + rho(n+2, t) - 2 rho(n+1, t+1).
-
-    Raises
-    ------
-    IntegrityError
-        If the redundant right-to-left pass disagrees beyond 1e-10, which
-        signals a non-conserving input.
-    """
-    flux = np.empty(slice_offset(rho.horizon))
-    for a, x in _blocks(rho.slices, extra=1):
-        # Row i: cur = slice t = a + i, nxt = slice t + 1, zero-padded to m.
-        # Triple k of a row of ltr holds the terms the recursion adds, in
-        # order, from site k to k + 1; a cumsum along the row read at every
-        # third entry repeats the scalar recursion's roundings exactly.  The
-        # right-to-left pass adds the triples negated in reverse order; the
-        # first padding triple, (cur[t], 0, -2 nxt[t + 1]), negated after
-        # the zeros before it, starts it with 2 nxt[t + 1] - cur[t].  rtl
-        # keeps its own fills: a negated, reversed view of ltr gives the
-        # same bits but made this function 15 % slower at T = 2000 (2-core VM).
-        cur, nxt = x[:-1], x[1:]
-        steps, m = cur.shape
-        ltr, rtl = np.empty((2, steps, 3 * m - 2))
-        ltr[:, 0], rtl[:, 0] = cur[:, 0] - 2.0 * nxt[:, 0], 0.0
-        terms = ltr[:, 1:].reshape(steps, m - 1, 3)
-        terms[..., 0], terms[..., 1] = cur[:, :-1], cur[:, 1:]
-        np.multiply(nxt[:, 1:], -2.0, out=terms[..., 2])
-        terms = rtl[:, 1:].reshape(steps, m - 1, 3)
-        np.negative(cur[:, -2::-1], out=terms[..., 0])
-        np.negative(cur[:, :0:-1], out=terms[..., 1])
-        np.multiply(nxt[:, :0:-1], 2.0, out=terms[..., 2])
-        ltr = np.cumsum(ltr, axis=1, out=ltr)[:, ::3]
-        rtl = np.cumsum(rtl, axis=1, out=rtl)[:, ::-3]
-        sites = np.arange(m) <= np.arange(a, a + steps)[:, None]
-        gap = np.max(np.abs(ltr - rtl), axis=1, where=sites, initial=0.0)
-        if (gap > PASS_AGREEMENT).any():
-            i = int(np.argmax(gap > PASS_AGREEMENT))
-            raise IntegrityError(
-                f"flux recursions disagree by {gap[i]:.3e} at t={a + i}; "
-                "input sequence does not conserve probability")
-        # Each pass accumulates rounding noise proportional to the mass it
-        # has swept over, so take every value from the pass anchored at the
-        # nearer cone edge; this preserves the relative accuracy of fluxes
-        # through low-probability tails.
-        flux[slice_offset(a):slice_offset(a + steps)] = np.where(
-            np.cumsum(cur, axis=1) <= 0.5, ltr, rtl)[sites]
-    return FluxField(flux)
+    """The flux J(n, t) = a - b for t = 0..T-1 (see :func:`_split`)."""
+    return FluxField(np.subtract(*_split(rho)))
 
 
 @dataclass(frozen=True)
@@ -95,11 +70,10 @@ class FeasibilityReport:
     # Sites where |J| equals rho up to the tolerance: the walker is pushed
     # deterministically.  Feasible, but flagged.
     boundary_sites: tuple[tuple[int, int], ...] = field(default=())
-    # Sites with rho = 0 (and |J| <= tol): feasible with undefined local
-    # dynamics.
+    # Sites with rho = 0 and |J| <= tol: feasible, local dynamics undefined.
     undefined_sites: tuple[tuple[int, int], ...] = field(default=())
-    # The flux the check was made on, for jump synthesis to reuse.
-    _flux: FluxField | None = field(default=None, repr=False, compare=False)
+    # The split (a, b) the check was made on, for synthesis to reuse.
+    _split: tuple | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -119,28 +93,29 @@ def validate_sequence(rho: ProbabilitySequence,
     """
     if not tol >= 0:  # NaN fails every comparison
         raise WalkError(f"tol must be >= 0, got {tol!r}")
-    flux = flux_from_rho(rho)
-    js = flux.buf
-    rs = rho.buf[:len(js)]
-    aj = np.abs(js)
+    right, left = split = _split(rho)
+    rs = rho.buf[:len(right)]
+    aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
     zero = rs == 0.0
     violated = aj > rs + tol  # where rho = 0, rs + tol is exactly tol
     undefined = zero & ~violated
-    boundary = ~zero & ~violated & (np.abs(aj - rs) <= tol)
+    np.abs(np.subtract(aj, rs, out=aj), out=aj)  # ||J| - rho|, in place
+    boundary = ~zero & ~violated & (aj <= tol)
 
     def sites(mask):
         ns, ts = flat_sites(np.flatnonzero(mask))
         return tuple(zip(ns.tolist(), ts.tolist()))
 
+    js = right[violated] - left[violated]
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
-        zip(sites(violated), js[violated].tolist(), rs[violated].tolist()))
+        zip(sites(violated), js.tolist(), rs[violated].tolist()))
     return FeasibilityReport(
         feasible=not violations,
         violations=violations,
         boundary_sites=sites(boundary),
         undefined_sites=sites(undefined),
-        _flux=flux,
+        _split=split,
     )
 
 

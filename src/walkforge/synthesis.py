@@ -1,9 +1,10 @@
 """Inverse construction of walk schedules from a target distribution.
 
-Given a feasible sequence rho(n, t), the squared wave-function components of
-the realising real quantum walk are fixed by telescoping partial sums of rho
-over two consecutive slices.  The coin angles then follow from one evolution
-step, and the classical jump probabilities from the flux field.  Both
+Given a feasible sequence rho(n, t), the split of :mod:`feasibility` gives
+the mass a(n, t) that each site passes right and b(n, t) that it passes
+left.  They are the squared wave-function components of the realising real
+quantum walk one step later, whose coin angles then follow from one
+evolution step; the classical jump probabilities are a / rho.  Both
 constructions are verified end to end by forward evolution in the test
 suite; only rho is claimed to be reproduced, not uniqueness of the
 schedules.
@@ -15,23 +16,18 @@ import math
 
 import numpy as np
 
-from .feasibility import flux_from_rho
+from . import feasibility
 from .lattice import (
     CoinSchedule,
-    FluxField,
     InfeasibleTargetError,
     IntegrityError,
     JumpSchedule,
     NEG_CLAMP,
     ProbabilitySequence,
     WaveField,
-    _blocks,
     _first_fault,
-    flat_sites,
     neighbours,
-    prefix_sums,
     slice_offset,
-    suffix_sums,
 )
 
 # Largest relative change of the local mass over one step of a wave field.
@@ -41,35 +37,24 @@ COIN_NORM_TOL = 1e-8
 EDGE_CLAMP = 1e-10
 
 
-def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
+def reconstruct_wavefield(rho: ProbabilitySequence, *,
+                          _split=None) -> WaveField:
     """Recover the non-negative real components psi+-(n, t) realising rho.
 
     At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
-    convention.  Squared amplitudes below -1e-12 raise
-    :class:`InfeasibleTargetError` (the validator should pre-empt this).
+    convention.  Slice t + 1 of psi+^2 is [0, a(., t)] and of psi-^2
+    [b(., t), 0], from ``_split``, (a, b) computed before, or a new split.
+    Squared amplitudes below -1e-12 raise :class:`InfeasibleTargetError`
+    (the validator should pre-empt this).
     """
-    plus = np.empty(slice_offset(rho.horizon + 1))  # squared until the end
-    minus = np.empty_like(plus)
-    plus[0], minus[0] = 1.0, 0.0
-    for a, x in _blocks(rho.slices, extra=1):
-        # Rows of x are slices a, a + 1, ..., zero-padded: row i + 1 is cur,
-        # slice t = a + i + 1, and row i is prev, slice t - 1.
-        pre = prefix_sums(x)            # pre[i, k] = sum_{j <= k} x[i, j]
-        suf = suffix_sums(x)            # suf[i, k] = sum_{j >= k} x[i, j]
-        left = np.zeros_like(pre)       # sum_{j < k}
-        left[:, 1:] = pre[:, :-1]
-        suf_p, suf_c = suf[:-1, :-1], suf[1:, :-1]
-        # Each value comes from the partial sums anchored at the nearer cone
-        # edge, which keeps low-probability tails relatively accurate.
-        # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
-        wp2 = np.where(suf_c <= 0.5, suf_c - suf_p, left[:-1] - left[1:])
-        # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
-        wm2 = np.where(pre[1:] <= 0.5, pre[1:] - left[:-1],
-                       suf_p - suf[1:, 1:])
-        sites = np.arange(x.shape[1]) <= np.arange(a + 1, a + len(x))[:, None]
-        rows = slice(slice_offset(a + 1), slice_offset(a + len(x)))
-        plus[rows], minus[rows] = wp2[sites], wm2[sites]
+    split = feasibility._split(rho) if _split is None else _split
+    # Squared until the end.  Each slice of a gains a zero in front and each
+    # of b one behind; they start at ``first``, which ends with their length.
+    first = slice_offset(np.arange(rho.horizon + 1))
+    zeros = (np.r_[0, first[:-1]], first)
+    plus, minus = (np.insert(x, at, 0.0) for x, at in zip(split, zeros))
+    plus[0] = 1.0
     # The earliest slice's fault, psi+ first: min keeps the first of ties.
     faults = [(_first_fault(bad), buf) for buf in (plus, minus)
               if (bad := buf < -NEG_CLAMP).any()]
@@ -78,15 +63,11 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
         raise InfeasibleTargetError(
             f"squared amplitude {buf[i]:.3e} at (n={n}, t={t}); target is not "
             "realisable by a nearest-neighbor walk", n=n, t=t)
-    # rho(n, t) = psi+^2 + psi-^2 = psi+^2(n+1, t+1) + psi-^2(n-1, t+1), all
-    # terms >= 0: where rho vanishes so do they, not a partial-sum residue.
-    # In slice order (n + 1, t + 1) and (n - 1, t + 1) come t + 2 and t + 1
-    # entries after (n, t).
+    # rho(n, t) = a(n, t) + b(n, t), both >= 0: where rho vanishes so do
+    # they, not a partial-sum residue.
     empty = rho.buf == 0.0
-    i = np.flatnonzero(empty[:slice_offset(rho.horizon)])
-    t = flat_sites(i)[1]
-    plus[i + t + 2] = minus[i + t + 1] = 0.0
-    for buf in (plus, minus):
+    for buf, at in zip((plus, minus), zeros):
+        buf[np.insert(empty[:len(split[0])], at, False)] = 0.0
         np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)[empty] = 0.0
     return WaveField(plus, minus)
 
@@ -141,12 +122,11 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
 
 
 def synthesize_jumps(rho: ProbabilitySequence, *,
-                     _flux: FluxField | None = None) -> JumpSchedule:
-    """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0;
-    ``_flux``, if given, is flux_from_rho(rho) computed before."""
-    flux = flux_from_rho(rho) if _flux is None else _flux
-    rs = rho.buf[:len(flux.buf)]
-    return _jump_schedule(0.5 * (rs + flux.buf), rs)
+                     _split=None) -> JumpSchedule:
+    """Jump probabilities p(n, t) = (rho + J) / (2 rho) = a / rho wherever
+    rho > 0, a from ``_split``, (a, b) computed before, or a new split."""
+    right = (feasibility._split(rho) if _split is None else _split)[0]
+    return _jump_schedule(right, rho.buf[:len(right)])
 
 
 def mimic_quantum_walk(qw_field) -> JumpSchedule:

@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from walkforge.feasibility import (
-    DEFAULT_TOL,
-    PASS_AGREEMENT,
-    FeasibilityReport,
-    Violation,
-)
+from walkforge.feasibility import DEFAULT_TOL, FeasibilityReport, Violation
 from walkforge.lattice import (
     NEG_CLAMP,
     CoinSchedule,
@@ -87,8 +82,13 @@ def suffix_sums(values: np.ndarray) -> np.ndarray:
 
 
 
-def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
-    """Reconstruct J(n, t) for t = 0..T-1 from the conservation recursion.
+# Maximum allowed disagreement between the two recursion directions.
+PASS_AGREEMENT = 1e-10
+
+
+def flux_recursion(rho: ProbabilitySequence) -> FluxField:
+    """Reconstruct J(n, t) for t = 0..T-1 from the conservation recursion,
+    an independent check of the partial-sum split.
 
     Left-to-right: J(-t, t) = rho(-t, t) - 2 rho(-t-1, t+1), then
     J(n+2, t) = J(n, t) + rho(n, t) + rho(n+2, t) - 2 rho(n+1, t+1).
@@ -126,6 +126,51 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
 
 
 
+def squared_amplitudes(rho: ProbabilitySequence):
+    """psi+^2 and psi-^2 of slices t = 1..T, unclamped: slice t + 1 of psi+^2
+    is [0, a(., t)] and of psi-^2 [b(., t), 0], a and b the mass that site
+    (n, t) passes right and left."""
+    plus, minus = [], []
+    for t in range(1, rho.horizon + 1):
+        cur = rho.slices[t]
+        prev = rho.slices[t - 1]
+        suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
+        suf_p = suffix_sums(prev)
+        pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
+        pre_p = prefix_sums(prev)
+        wp2 = np.empty(t + 1)
+        wm2 = np.empty(t + 1)
+        for k in range(t + 1):
+            # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
+            if suf_c[k] <= 0.5:
+                wp2[k] = suf_c[k] - suf_p[k]
+            else:
+                left_p = pre_p[k - 1] if k >= 1 else 0.0
+                left_c = pre_c[k - 1] if k >= 1 else 0.0
+                wp2[k] = left_p - left_c
+            # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
+            if pre_c[k] <= 0.5:
+                left_p = pre_p[k - 1] if k >= 1 else 0.0
+                wm2[k] = pre_c[k] - left_p
+            else:
+                wm2[k] = suf_p[k] - suf_c[k + 1]
+        plus.append(wp2)
+        minus.append(wm2)
+    return plus, minus
+
+
+def split(rho: ProbabilitySequence):
+    """Slices t = 0..T-1 of a(n, t) = psi+^2(n+1, t+1) and
+    b(n, t) = psi-^2(n-1, t+1)."""
+    plus, minus = squared_amplitudes(rho)
+    return [wp2[1:] for wp2 in plus], [wm2[:-1] for wm2 in minus]
+
+
+def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
+    """J(n, t) = a(n, t) - b(n, t) for t = 0..T-1."""
+    return FluxField([a - b for a, b in zip(*split(rho))])
+
+
 def validate_sequence(rho: ProbabilitySequence,
                       tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check the flux bound |J| <= rho + tol at every on-support site.
@@ -133,16 +178,14 @@ def validate_sequence(rho: ProbabilitySequence,
     Infeasibility is a report outcome, not an error.  The tolerance is
     additive because rho can be exactly zero at interior sites.
     """
-    flux = flux_from_rho(rho)
     violations = []
     boundary = []
     undefined = []
-    for t in range(flux.steps):
-        js = flux.slices[t]
+    for t, (right, left) in enumerate(zip(*split(rho))):
         rs = rho.slices[t]
         for k in range(t + 1):
             n = from_storage_index(k, t)
-            j = float(js[k])
+            j = float(right[k]) - float(left[k])
             r = float(rs[k])
             if r == 0.0:
                 if abs(j) > tol:
@@ -174,29 +217,9 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     """
     plus = [np.array([1.0])]
     minus = [np.array([0.0])]
-    for t in range(1, rho.horizon + 1):
+    for t, (wp2, wm2) in enumerate(zip(*squared_amplitudes(rho)), 1):
         cur = rho.slices[t]
         prev = rho.slices[t - 1]
-        suf_c = suffix_sums(cur)       # suf_c[k] = sum_{j >= k} cur[j]
-        suf_p = suffix_sums(prev)
-        pre_c = prefix_sums(cur)       # pre_c[k] = sum_{j <= k} cur[j]
-        pre_p = prefix_sums(prev)
-        wp2 = np.empty(t + 1)
-        wm2 = np.empty(t + 1)
-        for k in range(t + 1):
-            # psi+^2(n,t) = sum_{m>=n} rho(m,t) - sum_{m>=n+1} rho(m,t-1)
-            if suf_c[k] <= 0.5:
-                wp2[k] = suf_c[k] - suf_p[k]
-            else:
-                left_p = pre_p[k - 1] if k >= 1 else 0.0
-                left_c = pre_c[k - 1] if k >= 1 else 0.0
-                wp2[k] = left_p - left_c
-            # psi-^2(n,t) = sum_{m>=n+1} rho(m,t-1) - sum_{m>=n+2} rho(m,t)
-            if pre_c[k] <= 0.5:
-                left_p = pre_p[k - 1] if k >= 1 else 0.0
-                wm2[k] = pre_c[k] - left_p
-            else:
-                wm2[k] = suf_p[k] - suf_c[k + 1]
         for arr in (wp2, wm2):
             bad = arr < -NEG_CLAMP
             if bad.any():
@@ -265,22 +288,16 @@ def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def synthesize_jumps(rho: ProbabilitySequence,
-                     flux: FluxField | None = None) -> JumpSchedule:
-    """Jump probabilities p(n, t) = (rho + J) / (2 rho) wherever rho > 0."""
-    if flux is None:
-        flux = flux_from_rho(rho)
-    if flux.steps != rho.horizon:
-        raise IntegrityError("flux field and target have different horizons")
+def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
+    """Jump probabilities p(n, t) = a(n, t) / rho(n, t) wherever rho > 0."""
     probs = []
-    for t in range(rho.horizon):
+    for t, right in enumerate(split(rho)[0]):
         rs = rho.slices[t]
-        js = flux.slices[t]
         p = np.full(t + 1, math.nan)
         mask = rs > 0.0
         for k in np.flatnonzero(mask):
             n = from_storage_index(k, t)
-            p[k] = _jump_from_ratio(0.5 * (rs[k] + js[k]), rs[k], n, t)
+            p[k] = _jump_from_ratio(right[k], rs[k], n, t)
         probs.append(p)
     return JumpSchedule(probs)
 

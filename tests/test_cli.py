@@ -109,20 +109,23 @@ def test_synth_then_evolve_files(capsys, tmp_path):
     assert np.allclose(back.slices[15], np.full(16, 1 / 16), atol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["synth", "roundtrip"])
 @pytest.mark.parametrize("walk", ["qw", "rw"])
-def test_synth_computes_the_flux_once(capsys, tmp_path, monkeypatch, walk):
-    from walkforge import feasibility, synthesis
+def test_synthesis_splits_the_target_once(capsys, tmp_path, monkeypatch,
+                                          command, walk):
+    from walkforge import feasibility
     calls = []
-    flux = feasibility.flux_from_rho
+    split = feasibility._split
 
     def counted(rho):
         calls.append(rho)
-        return flux(rho)
+        return split(rho)
 
-    monkeypatch.setattr(feasibility, "flux_from_rho", counted)
-    monkeypatch.setattr(synthesis, "flux_from_rho", counted)
-    code, _, _ = run(capsys, "synth", "--target", "binomial:0.3", "-T", "9",
-                     "--walk", walk, "--out", str(tmp_path / "s.json"))
+    monkeypatch.setattr(feasibility, "_split", counted)
+    argv = [command, "--target", "binomial:0.3", "-T", "9", "--walk", walk]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "s.json")]
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
 
@@ -166,7 +169,7 @@ def test_mc_worker_failure_exits_2(capsys, tmp_path, monkeypatch):
                          "-N", "20")
     assert code == 2 and out == ""
     assert json.loads(err) == {
-        "error": "Monte Carlo worker exited with status 1"}
+        "error": "Monte Carlo worker exited with status 1: MemoryError"}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -439,8 +439,15 @@ def killed_worker(*_):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def wordy_worker(*_):
+    raise ValueError("schedule " + "\u00e9" * 200)
+
+
 @pytest.mark.parametrize("blocks, message", [
-    (failing_worker, "worker exited with status 1"),
+    (failing_worker, "worker exited with status 1: MemoryError$"),
+    # The cause is cut at _MC_ERROR_BYTES bytes, here inside the last é.
+    (wordy_worker, "worker exited with status 1: ValueError: schedule "
+                   "\u00e9{117}\ufffd$"),
     (killed_worker, f"worker killed by signal {int(signal.SIGKILL)}"),
 ])
 def test_mc_worker_failure_is_a_walk_error(blocks, message, monkeypatch):
@@ -509,7 +516,7 @@ def test_mc_stderr_formula():
 
 
 def test_flux_bridge_between_representations():
-    # J from the conservation recursion equals the wave-function expression
+    # J = a - b from the split of rho equals the wave-function expression
     # |psi+(n+1, t+1)|^2 - |psi-(n-1, t+1)|^2, and for real fields also
     # cos 2th (psi+^2 - psi-^2) + 2 sin 2th psi+ psi-.
     rho = uniform_target(20)

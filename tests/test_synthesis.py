@@ -127,7 +127,7 @@ def test_uniform_round_trip():
 @pytest.mark.parametrize("walk", ["qw", "rw"])
 def test_uniform_round_trip_at_T2000(walk):
     # The README's 1e-10 round-trip bound, at a horizon where rounding in
-    # the partial sums and the flux recursion has had 2000 slices to grow.
+    # the split's partial sums has had 2000 slices to grow.
     rho = uniform_target(2000)
     if walk == "qw":
         coins = synthesize_coins(reconstruct_wavefield(rho))
