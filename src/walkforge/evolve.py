@@ -29,6 +29,7 @@ from .lattice import (
     ComplexWaveField,
     CoverageError,
     JumpSchedule,
+    NORM_TOL,
     ProbabilitySequence,
     ScalarField,
     WaveField,
@@ -149,25 +150,30 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     psi+(n+1, t+1) = cos th psi+(n, t) + sin th psi-(n, t),
     psi-(n-1, t+1) = sin th psi+(n, t) - cos th psi-(n, t).
 
-    An undefined coin steps as theta = 0, which keeps the mass; a mass
-    psi+^2 + psi-^2 above DEAD_MASS there raises :class:`CoverageError`.
+    ``init`` must have norm 1 within NORM_TOL, else :class:`WalkError`.  An
+    undefined coin steps as theta = 0, which keeps the mass; after the
+    field's own checks, a mass above DEAD_MASS there is a CoverageError.
     """
     steps = _schedule_steps(schedule, steps)
+    a, b = float(init[0]), float(init[1])
+    norm = a * a + b * b  # inf, not OverflowError, if it overflows
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails every comparison
+        raise WalkError(f"initial state norm {norm!r} != 1")
     th = np.nan_to_num(schedule.buf[:slice_offset(steps)])  # NaN steps as 0
     s = split_slices(np.sin(th))
     c = split_slices(np.cos(th, out=th))
     plus = np.zeros(slice_offset(steps + 1))
     minus = np.zeros_like(plus)
-    plus[0], minus[0] = float(init[0]), float(init[1])
+    plus[0], minus[0] = a, b
     wp, wm = split_slices(plus), split_slices(minus)
     for t in range(steps):
         wp[t + 1][1:] = c[t] * wp[t] + s[t] * wm[t]
         wm[t + 1][:-1] = s[t] * wp[t] - c[t] * wm[t]
     del th, c, s  # free both buffers before the mass is formed
-    mass = np.square(plus[:slice_offset(steps)])
-    mass += np.square(minus[:len(mass)])
-    _check_coverage(schedule, mass, "coin undefined at live site")
-    return WaveField(plus, minus)
+    field = WaveField(plus, minus)
+    _check_coverage(schedule, field.mass()[:slice_offset(steps)],
+                    "coin undefined at live site")
+    return field
 
 
 def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWaveField:

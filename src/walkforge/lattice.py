@@ -7,7 +7,8 @@ one slice-order buffer, slice t at offset t(t+1)/2 and indexed within by
 values are never materialised and parity bugs cannot arise from indexing
 arithmetic.  A container takes a 1-D slice-order array as its buffer
 without copying it, or copies a list of slices into a new one; both go
-through the same checks.  Producers size a buffer with
+through the same checks; a wave field's ``mass()`` is the one formula for
+|psi+|^2 + |psi-|^2.  Producers size a buffer with
 :func:`slice_offset` and fill it through :func:`split_slices`,
 :func:`neighbours` and :func:`flat_sites`, except that the CSV reader puts
 (n, t) at ``slice_offset(t) + (n + t) / 2`` and ``reconstruct_wavefield``
@@ -332,7 +333,7 @@ class ProbabilitySequence(_SliceData):
     parity-violating or out-of-cone sites are implicitly zero, never stored.
     """
 
-    def __init__(self, slices, *, renormalize: bool = False):
+    def __init__(self, slices, *, renormalize: bool = False, _norm=None):
         buf = _buffer(slices, "ProbabilitySequence", min_slices=1)
         if (buf < -NEG_CLAMP).any():
             i, n, t = _first_fault(buf < -NEG_CLAMP)
@@ -340,9 +341,9 @@ class ProbabilitySequence(_SliceData):
                 f"negative probability {buf[i]:.3e} at (n={n}, t={t})",
                 n=n, t=t)
         buf = np.clip(buf, 0.0, None, out=buf if buf.flags.writeable else None)
-        # The exactly rounded total of each slice is also its divisor, so
-        # it fixes the bits of a renormalised sequence (x / 1.0 is x).
-        totals = _totals(buf)
+        # Each slice's exactly rounded total, or a wave field's ``_norm``, is
+        # its divisor too: it fixes the bits of the result (x / 1.0 is x).
+        totals = _totals(buf) if _norm is None else _norm
         accept_tol = 1e-9 if renormalize else NORM_TOL
         drift = np.abs(totals - 1.0)  # NaN, from a NaN entry, passes here
         if (drift > accept_tol).any():
@@ -366,6 +367,9 @@ class ProbabilitySequence(_SliceData):
 
 
 class _WaveBase:
+    """Wave fields: psi+ and psi- as read-only slice-order buffers whose
+    :meth:`mass` sums to 1 within NORM_TOL in each slice (totals ``_norm``)."""
+
     _dtype: type
 
     def __init__(self, plus, minus):
@@ -376,8 +380,7 @@ class _WaveBase:
         _check_finite(self._minus_buf, name + ".minus")
         if len(self._plus_buf) != len(self._minus_buf):
             raise FormatError("plus and minus components differ in horizon")
-        norm = (_totals(np.abs(self._plus_buf) ** 2)
-                + _totals(np.abs(self._minus_buf) ** 2))
+        norm = self._norm = _totals(self.mass())
         bad = np.abs(norm - 1.0) > NORM_TOL
         if bad.any():
             t = int(np.argmax(bad))
@@ -387,20 +390,17 @@ class _WaveBase:
         self._plus = _freeze(self._plus_buf)
         self._minus = _freeze(self._minus_buf)
 
-    @property
-    def horizon(self) -> int:
-        return len(self._plus) - 1
+    horizon = property(lambda self: len(self._plus) - 1, doc="The last t.")
+
+    def mass(self) -> np.ndarray:
+        """rho(n, t) = |psi+|^2 + |psi-|^2 at every site, as a new writable
+        slice-order buffer; callers slice it to the steps they need."""
+        return np.abs(self._plus_buf) ** 2 + np.abs(self._minus_buf) ** 2
 
     plus_buf = property(lambda self: self._plus_buf, doc="psi+ buffer.")
     minus_buf = property(lambda self: self._minus_buf, doc="psi- buffer.")
-
-    @property
-    def plus_slices(self):
-        return self._plus
-
-    @property
-    def minus_slices(self):
-        return self._minus
+    plus_slices = property(lambda self: self._plus, doc="psi+ slices.")
+    minus_slices = property(lambda self: self._minus, doc="psi- slices.")
 
     def plus(self, n: int, t: int):
         return self._plus[t][to_storage_index(n, t)]
@@ -497,11 +497,10 @@ class JumpSchedule(_Schedule):
 
 
 def probability_from_wavefield(w) -> ProbabilitySequence:
-    """rho(n, t) = |psi+|^2 + |psi-|^2 at every site.
+    """rho(n, t) = ``w.mass()``, renormalised by the field's own slice totals.
 
     Accepts both real and complex wave fields.  Their constructors hold each
     slice's norm within NORM_TOL; the remaining drift is renormalised away so
     the result satisfies the ProbabilitySequence invariants.
     """
-    return ProbabilitySequence(
-        np.abs(w.plus_buf) ** 2 + np.abs(w.minus_buf) ** 2, renormalize=True)
+    return ProbabilitySequence(w.mass(), renormalize=True, _norm=w._norm)

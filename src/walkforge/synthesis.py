@@ -87,7 +87,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     drift = np.square(wp_next, out=wp_next)  # in place: at most five
     drift += np.square(wm_next, out=wm_next)  # buffers are alive at once
     del wm_next
-    mass = wp * wp + wm * wm
+    mass = w.mass()[:len(wp)]
     np.abs(np.subtract(drift, mass, out=drift), out=drift)
     scale = np.maximum(mass, np.finfo(float).tiny, out=mass)
     defined = (wp != 0.0) | (wm != 0.0)
@@ -136,10 +136,8 @@ def mimic_quantum_walk(qw_field) -> JumpSchedule:
     real Hadamard field this reduces to [psi+ + psi-]^2 / (2 rho).  Works on
     both real and complex wave fields.
     """
-    m = slice_offset(qw_field.horizon)
-    plus, minus = qw_field.plus_buf, qw_field.minus_buf
-    rho = np.abs(plus[:m]) ** 2 + np.abs(minus[:m]) ** 2
-    return _jump_schedule(np.abs(neighbours(plus, 1)) ** 2, rho)
+    right = np.abs(neighbours(qw_field.plus_buf, 1)) ** 2
+    return _jump_schedule(right, qw_field.mass()[:len(right)])
 
 
 def realify_quantum_walk(qw_field) -> tuple[WaveField, CoinSchedule]:

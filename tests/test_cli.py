@@ -466,6 +466,9 @@ CONTRACT = [
      "tol must be >= 0"),
     (["evolve", "--schedule", "{tmp}/coins.json", "--init", "nan,0"],
      "initial state norm nan"),
+    # The field's own tolerance, 1e-12, not a looser one of the CLI.
+    (["evolve", "--schedule", "{tmp}/coins.json", "--init", "1,0.00002"],
+     "initial state norm 1.0000000004 != 1"),
     (["validate", "--target", "uniform", "--config", "{tmp}/badint.cfg"],
      "invalid int value: 'x'"),
     (["validate", "--target", "file:{tmp}/overflow.csv"], "sums to inf"),

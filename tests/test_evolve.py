@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import random_jump_target
-from walkforge import evolve
+from walkforge import evolve, lattice
 from walkforge.evolve import (
     DEAD_MASS,
     HomogeneousCoinParams,
@@ -105,6 +105,37 @@ def test_undefined_coin_keeps_dead_mass_and_rejects_live_mass():
     assert field.minus(-2, 2) == -math.sin(1e-10)
     with pytest.raises(CoverageError, match=r"n=-1, t=1"):
         evolve_qw(CoinSchedule([[1e-5], [math.nan, 0.7]]))
+
+
+@pytest.mark.parametrize("init, norm", [
+    ((1.0, 2e-5), "1.0000000004"),
+    ((math.nan, 0.0), "nan"),
+    ((1e200, 0.0), "inf"),
+])
+def test_initial_state_norm_is_checked_at_the_field_tolerance(init, norm):
+    schedule = CoinSchedule([np.full(t + 1, 0.7) for t in range(3)])
+    with pytest.raises(WalkError) as err:
+        evolve_qw(schedule, init)
+    assert type(err.value) is WalkError
+    assert str(err.value) == f"initial state norm {norm} != 1"
+    # 1 + 2.5e-13 lies within NORM_TOL.
+    assert evolve_qw(schedule, (1.0, 5e-7)).minus(0, 0) == 5e-7
+
+
+@pytest.mark.parametrize("engine", ["real", "complex"])
+def test_a_wave_field_sums_its_norm_once(monkeypatch, engine):
+    # The constructor's slice totals of the mass check the field and are
+    # the divisors of probability_from_wavefield, which sums nothing again.
+    schedule = CoinSchedule([np.full(t + 1, 0.7) for t in range(40)])
+    calls = []
+    totals = lattice._totals
+    monkeypatch.setattr(lattice, "_totals",
+                        lambda buf: calls.append(len(buf)) or totals(buf))
+    field = (evolve_qw(schedule) if engine == "real"
+             else evolve_qw_complex(QUASI_SYMMETRIC, 40))
+    assert calls == [slice_offset(41)]
+    probability_from_wavefield(field)
+    assert calls == [slice_offset(41)]
 
 
 def test_complex_engine_eta_zero_matches_real():
