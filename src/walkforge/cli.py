@@ -31,7 +31,7 @@ from .evolve import (
     evolve_rw_exact,
     simulate_rw,
 )
-from .feasibility import DEFAULT_TOL, validate_sequence
+from .feasibility import DEFAULT_TOL, _flux_bound, validate_sequence
 from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
@@ -62,18 +62,18 @@ FIG2_PARAMS = HomogeneousCoinParams(theta=math.pi / 4, eta=math.pi / 4,
                                     gamma=math.pi / 2)
 
 
-def _destination(args):
-    """Where a field output goes, in ``--format``: stdout, the ``--out``
-    file, or ``<dir>/rho.<format>`` when ``--out`` names a directory."""
+def _destination(args, name):
+    """Where an output goes: stdout, the ``--out`` file, or ``<dir>/name``
+    when ``--out`` names a directory."""
     if args.out is None:
         return sys.stdout
     out = Path(args.out)
-    return out / f"rho.{args.format}" if out.is_dir() else out
+    return out / name if out.is_dir() else out
 
 
 def _emit_field(field, args) -> None:
     write = io.write_field_csv if args.format == "csv" else io.write_field_json
-    write(field, _destination(args))
+    write(field, _destination(args, f"rho.{args.format}"))
 
 
 def _print_json(doc, fh=None) -> None:
@@ -97,22 +97,22 @@ def _target_sequence(args) -> ProbabilitySequence:
 def cmd_validate(args) -> int:
     rho = _target_sequence(args)
     report = validate_sequence(rho, tol=args.tol)
-    doc = report.to_dict()
-    doc["schema_version"] = io.SCHEMA_VERSION
-    _print_json(doc)
+    _print_json({**report.to_dict(), "schema_version": io.SCHEMA_VERSION})
     return EXIT_OK if report.feasible else EXIT_FAIL
 
 
 def _synthesize(rho: ProbabilitySequence, walk: str):
-    """The ``walk`` schedule of a feasible ``rho``, from the check's split."""
-    report = validate_sequence(rho)
-    if not report.feasible:
-        sites = ", ".join(f"(n={v.n}, t={v.t})" for v in report.violations[:5])
+    """The ``walk`` schedule of ``rho``, from the split the flux bound is
+    checked on; no report is built, only the error's first five sites."""
+    split, violated = _flux_bound(rho, DEFAULT_TOL)[:2]
+    if violated.any():
+        ns, ts = flat_sites(np.flatnonzero(violated)[:5])
+        sites = ", ".join(map("(n={}, t={})".format, ns.tolist(), ts.tolist()))
         raise WalkError(f"target is infeasible; flux bound violated at {sites}")
     if walk == "rw":
-        return synthesize_jumps(rho, _split=report._split)
-    w = reconstruct_wavefield(rho, _split=report._split)
-    del report  # not kept: coin synthesis sets the peak memory
+        return synthesize_jumps(rho, _split=split)
+    w = reconstruct_wavefield(rho, _split=split)
+    del split, violated  # not kept: coin synthesis sets the peak memory
     return synthesize_coins(w)
 
 
@@ -159,19 +159,7 @@ def cmd_mc(args) -> int:
     cfg = McConfig(trajectories=args.trajectories, seed=args.seed,
                    horizon=steps)
     rho_hat, stderr = simulate_rw(schedule, cfg)
-    out = getattr(args, "out", None)
-    if out is None:
-        doc = {
-            "schema_version": io.SCHEMA_VERSION,
-            "horizon": steps,
-            "rho": [s.tolist() for s in rho_hat.slices],
-            "stderr": [s.tolist() for s in stderr.slices],
-        }
-        _print_json(doc)
-    else:
-        out = Path(out)
-        io.write_mc_csv(rho_hat, stderr,
-                        out / "mc.csv" if out.is_dir() else out)
+    io.write_mc_csv(rho_hat, stderr, _destination(args, "mc.csv"))
     return EXIT_OK
 
 
@@ -185,7 +173,7 @@ def cmd_hadamard(args) -> int:
         limit = t * abs(math.cos(params.theta))
         rows = [(n, asymptotic_density(params, n, t))
                 for n in site_positions(t).tolist() if abs(n) < limit]
-        with io.open_write(_destination(args)) as fh:
+        with io.open_write(_destination(args, f"rho.{args.format}")) as fh:
             if args.format == "csv":
                 fh.write("t,n,value\n")
                 fh.writelines(f"{t},{n},{v!r}\n" for n, v in rows)
@@ -305,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
                    help="CSV file, or a directory for mc.csv "
-                        "(default: JSON to stdout)")
+                        "(default: stdout)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("hadamard", help="homogeneous complex walk distribution")
@@ -395,7 +383,7 @@ def main(argv=None) -> int:
         args = _parse_args(parser, argv)
         return args.func(args)
     except (WalkError, OSError, MemoryError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
+        json.dump({"error": str(exc) or type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_INPUT
 

@@ -10,7 +10,7 @@ wave field and the jump probabilities alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +69,9 @@ class FeasibilityReport:
     violations: tuple[Violation, ...]
     # Sites where |J| equals rho up to the tolerance: the walker is pushed
     # deterministically.  Feasible, but flagged.
-    boundary_sites: tuple[tuple[int, int], ...] = field(default=())
+    boundary_sites: tuple[tuple[int, int], ...] = ()
     # Sites with rho = 0 and |J| <= tol: feasible, local dynamics undefined.
-    undefined_sites: tuple[tuple[int, int], ...] = field(default=())
-    # The split (a, b) the check was made on, for synthesis to reuse.
-    _split: tuple | None = field(default=None, repr=False, compare=False)
+    undefined_sites: tuple[tuple[int, int], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -84,38 +82,43 @@ class FeasibilityReport:
         }
 
 
-def validate_sequence(rho: ProbabilitySequence,
-                      tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Check the flux bound |J| <= rho + tol at every on-support site.
+def _sites(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(n, t) of each site where ``mask`` is set, in slice order."""
+    ns, ts = flat_sites(np.flatnonzero(mask))
+    return tuple(zip(ns.tolist(), ts.tolist()))
 
-    Infeasibility is a report outcome, not an error.  The tolerance is
-    additive because rho can be exactly zero at interior sites.
-    """
+
+def _flux_bound(rho: ProbabilitySequence, tol: float):
+    """The one test of the flux bound |J| <= rho + tol, additive because rho
+    can be exactly zero inside the cone: the split (a, b) it is made on, the
+    mask of the sites that fail it, and |J| = |a - b|."""
     if not tol >= 0:  # NaN fails every comparison
         raise WalkError(f"tol must be >= 0, got {tol!r}")
     right, left = split = _split(rho)
-    rs = rho.buf[:len(right)]
     aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
+    # Where rho = 0, rho + tol is exactly tol.
+    return split, aj > rho.buf[:len(aj)] + tol, aj
+
+
+def validate_sequence(rho: ProbabilitySequence,
+                      tol: float = DEFAULT_TOL) -> FeasibilityReport:
+    """Check |J| <= rho + tol at every on-support site and list the boundary
+    and undefined sites; infeasibility is a report outcome, not an error."""
+    (right, left), violated, aj = _flux_bound(rho, tol)
+    rs = rho.buf[:len(aj)]
     zero = rs == 0.0
-    violated = aj > rs + tol  # where rho = 0, rs + tol is exactly tol
     undefined = zero & ~violated
     np.abs(np.subtract(aj, rs, out=aj), out=aj)  # ||J| - rho|, in place
     boundary = ~zero & ~violated & (aj <= tol)
-
-    def sites(mask):
-        ns, ts = flat_sites(np.flatnonzero(mask))
-        return tuple(zip(ns.tolist(), ts.tolist()))
-
     js = right[violated] - left[violated]
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
-        zip(sites(violated), js.tolist(), rs[violated].tolist()))
+        zip(_sites(violated), js.tolist(), rs[violated].tolist()))
     return FeasibilityReport(
         feasible=not violations,
         violations=violations,
-        boundary_sites=sites(boundary),
-        undefined_sites=sites(undefined),
-        _split=split,
+        boundary_sites=_sites(boundary),
+        undefined_sites=_sites(undefined),
     )
 
 

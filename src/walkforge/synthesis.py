@@ -45,8 +45,9 @@ def reconstruct_wavefield(rho: ProbabilitySequence, *,
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
     convention.  Slice t + 1 of psi+^2 is [0, a(., t)] and of psi-^2
     [b(., t), 0], from ``_split``, (a, b) computed before, or a new split.
-    Squared amplitudes below -1e-12 raise :class:`InfeasibleTargetError`
-    (the validator should pre-empt this).
+    Squared amplitudes below -1e-12 raise :class:`InfeasibleTargetError`.
+    The flux check does not pre-empt this: its additive tolerance of 1e-10
+    passes a = -4e-11 (ROADMAP.md, correctness aim).
     """
     split = feasibility._split(rho) if _split is None else _split
     # Squared until the end.  Each slice of a gains a zero in front and each

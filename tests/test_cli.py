@@ -130,6 +130,56 @@ def test_synthesis_splits_the_target_once(capsys, tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["synth", "roundtrip"])
+@pytest.mark.parametrize("walk", ["qw", "rw"])
+def test_synthesis_builds_no_feasibility_report(capsys, tmp_path, monkeypatch,
+                                                command, walk):
+    # The report's site lists cost a tuple per boundary or undefined site;
+    # synthesis needs only the flux-bound test and its split.
+    argv = [command, "--target", "binomial:0.3", "-T", "40", "--walk", walk]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "s.json")]
+    outputs = []
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        outputs.append((tmp_path / "s.json").read_bytes()
+                       if command == "synth" else out)
+        monkeypatch.setattr(cli, "validate_sequence", None)  # calls raise
+    assert outputs[0] == outputs[1]
+
+
+def test_infeasible_synthesis_names_five_sites_without_a_report(
+        capsys, tmp_path, monkeypatch):
+    # The mass jumps from one cone edge to the other at every step.
+    slices = [[1.0]] + [[1.0] + [0.0] * t if t % 2 else [0.0] * t + [1.0]
+                        for t in range(1, 9)]
+    path = tmp_path / "zigzag.json"
+    io.write_field_json(ProbabilitySequence(slices), path)
+    code, out, _ = run(capsys, "validate", "--target", f"file:{path}")
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert len(violations) > 5
+    sites = ", ".join(f"(n={v['n']}, t={v['t']})" for v in violations[:5])
+    monkeypatch.setattr(cli, "validate_sequence", None)
+    code, out, err = run(capsys, "synth", "--target", f"file:{path}",
+                         "--walk", "rw", "--out", str(tmp_path / "s.json"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": f"target is infeasible; flux bound violated at {sites}"}
+
+
+def test_exception_without_text_is_named(capsys, monkeypatch):
+    def out_of_memory(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evolve_rw_exact", out_of_memory)
+    code, out, err = run(capsys, "roundtrip", "--target", "uniform", "-T", "4",
+                         "--walk", "rw")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "MemoryError"}
+
+
 def test_synth_rw_then_mc_csv(capsys, tmp_path):
     sched_path = tmp_path / "jumps.json"
     code, _, _ = run(capsys, "synth", "--target", "binomial:0.5", "-T", "8",
@@ -153,6 +203,11 @@ def test_synth_rw_then_mc_csv(capsys, tmp_path):
                      "-N", "2000", "--seed", "11", "--out", str(out_dir))
     assert code == 0
     assert (out_dir / "mc.csv").read_bytes() == mc_path.read_bytes()
+    # So does stdout: mc has one output format.
+    code, out, _ = run(capsys, "mc", "--schedule", str(sched_path),
+                       "-N", "2000", "--seed", "11")
+    assert code == 0
+    assert out.encode() == mc_path.read_bytes()
 
 
 def test_mc_worker_failure_exits_2(capsys, tmp_path, monkeypatch):
@@ -411,6 +466,7 @@ def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
 # "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
 # field.json (a target with T = 3), v1.json (a schema 1 schedule), a plain
 # file, bogus.cfg, badint.cfg, route.cfg, horizon.cfg (T = 2), init.cfg,
+# noeq.cfg (a line without "="), spin.json (a schedule of unknown kind),
 # overflow.csv (a slice whose sum overflows) and, for each bad
 # slice-table horizon h in HORIZONS, field-h.json and jump-h.json, holding
 # the slices int(h) would call for; missing* names nothing.
@@ -438,6 +494,12 @@ CONTRACT = [
     (["mc", "--schedule", "{tmp}/v1.json"], "v1 schedule"),
     (["mc", "--schedule", "{tmp}/coins.json"], "qw schedule"),
     (["hadamard", "--theta", "0.7"], "--horizon"),
+    (["hadamard", "--theta", "0.7", "--eta", "nan", "-T", "3"],
+     "coin parameter eta=nan is not finite"),
+    (["validate", "--target", "uniform", "--config", "{tmp}/noeq.cfg"],
+     "noeq.cfg:1: expected key=value"),
+    (["evolve", "--schedule", "{tmp}/spin.json"],
+     "spin.json: unknown schedule kind 'spin'"),
     (["hadamard", "-T", "3"], "--theta"),
     (["roundtrip", "--target", "uniform", "-T", "3"], "--walk"),
     (["roundtrip", "--target", "file:{tmp}/missing.json", "--walk", "rw"],
@@ -568,6 +630,10 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "route.cfg").write_text("route = closedform\n")
     (tmp_path / "horizon.cfg").write_text("horizon = 2\n")
     (tmp_path / "init.cfg").write_text("init = 1,0\n")
+    (tmp_path / "noeq.cfg").write_text("horizon 3\n")
+    (tmp_path / "spin.json").write_text(json.dumps({
+        "schema_version": 2, "horizon": 1, "kind": "spin",
+        "slices": [[0.5]]}))
     io.write_field_json(binomial_target(0.5, 3), tmp_path / "field.json")
     for text, steps in HORIZONS.items():
         field = [[1.0 / (t + 1)] * (t + 1) for t in range(steps + 1)]

@@ -439,6 +439,11 @@ def test_mc_coverage_error_does_not_depend_on_block_size(cpus, monkeypatch):
         "jump probability undefined at visited site (n=3, t=3)"}
 
 
+def test_no_affinity_mask_means_one_cpu(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert evolve._usable_cpus() == 1
+
+
 def test_mc_memory_does_not_grow_with_trajectories(monkeypatch):
     # The 4 000 trajectories fill two blocks; 16 times as many add none.
     # tracemalloc sees no forked worker, so the blocks run in process: the

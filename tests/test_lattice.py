@@ -44,6 +44,9 @@ def test_storage_index_rejects_cone():
         to_storage_index(5, 2)
     with pytest.raises(SupportError, match="negative time"):
         to_storage_index(0, -1)
+    with pytest.raises(SupportError,
+                       match=r"storage index k=3 outside 0\.\.t for t=2"):
+        from_storage_index(3, 2)
 
 
 @given(st.integers(0, 300), st.data())
@@ -279,6 +282,9 @@ def test_wavefield_requires_edge_zeros():
         WaveField([[1.0], [0.7, 0.0]], [[0.0], [math.sqrt(1 - 0.49), 0.0]])
     assert str(err.value) == \
         "psi+(-1,1) = 0.7, must vanish on the left cone edge"
+    with pytest.raises(FormatError,
+                       match="plus and minus components differ in horizon"):
+        WaveField([[1.0]], [[0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("kind", [WaveField, ComplexWaveField])
