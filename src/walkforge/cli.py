@@ -31,7 +31,7 @@ from .evolve import (
     evolve_rw_exact,
     simulate_rw,
 )
-from .feasibility import DEFAULT_TOL, _flux_bound, validate_sequence
+from .feasibility import DEFAULT_TOL, validate_sequence
 from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
@@ -102,18 +102,10 @@ def cmd_validate(args) -> int:
 
 
 def _synthesize(rho: ProbabilitySequence, walk: str):
-    """The ``walk`` schedule of ``rho``, from the split the flux bound is
-    checked on; no report is built, only the error's first five sites."""
-    split, violated = _flux_bound(rho, DEFAULT_TOL)[:2]
-    if violated.any():
-        ns, ts = flat_sites(np.flatnonzero(violated)[:5])
-        sites = ", ".join(map("(n={}, t={})".format, ns.tolist(), ts.tolist()))
-        raise WalkError(f"target is infeasible; flux bound violated at {sites}")
+    """The ``walk`` schedule of ``rho``; synthesis checks the flux bound."""
     if walk == "rw":
-        return synthesize_jumps(rho, _split=split)
-    w = reconstruct_wavefield(rho, _split=split)
-    del split, violated  # not kept: coin synthesis sets the peak memory
-    return synthesize_coins(w)
+        return synthesize_jumps(rho)
+    return synthesize_coins(reconstruct_wavefield(rho))
 
 
 def cmd_synth(args) -> int:
@@ -268,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a target against the flux bound")
     common(p, target=True, horizon=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fail "
+                   "|J| > rho + tol; flag 2 min(a, b) <= tol rho (%(default)g)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a coin or jump schedule")

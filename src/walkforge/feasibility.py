@@ -4,8 +4,8 @@ Conservation splits the mass of each site in two: a(n, t) = (rho + J) / 2
 passes right and b(n, t) = (rho - J) / 2 left, J = a - b the flux.  Partial
 sums of two consecutive slices fix both, so a sequence is realisable by
 some walk (quantum or classical) exactly when a, b >= 0, i.e. |J| <= rho.
-One scan, :func:`_split`, computes a and b for the feasibility report, the
-wave field and the jump probabilities alike.
+One gate, :func:`_flux_bound`, judges the split for the feasibility report,
+the wave field and the jump probabilities alike, clamping it within tol.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (FluxField, ProbabilitySequence, WalkError, _blocks,
-                      flat_sites, neighbours, prefix_sums, slice_offset,
-                      suffix_sums)
+from .lattice import (FluxField, InfeasibleTargetError, ProbabilitySequence,
+                      WalkError, _blocks, flat_sites, neighbours, prefix_sums,
+                      slice_offset, suffix_sums)
 
 DEFAULT_TOL = 1e-10
 
@@ -67,8 +67,8 @@ class Violation:
 class FeasibilityReport:
     feasible: bool
     violations: tuple[Violation, ...]
-    # Sites where |J| equals rho up to the tolerance: the walker is pushed
-    # deterministically.  Feasible, but flagged.
+    # Sites with rho > 0 and 2 min(a, b) <= tol rho (||J| - rho| <= tol, made
+    # relative): the walker is pushed deterministically.  Feasible, flagged.
     boundary_sites: tuple[tuple[int, int], ...] = ()
     # Sites with rho = 0 and |J| <= tol: feasible, local dynamics undefined.
     undefined_sites: tuple[tuple[int, int], ...] = ()
@@ -90,27 +90,47 @@ def _sites(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 def _flux_bound(rho: ProbabilitySequence, tol: float):
     """The one test of the flux bound |J| <= rho + tol, additive because rho
-    can be exactly zero inside the cone: the split (a, b) it is made on, the
-    mask of the sites that fail it, and |J| = |a - b|."""
+    can be exactly zero inside the cone: the split (a, b) and the mask of the
+    sites that fail it.  Where the bound holds but a or b lies outside
+    [0, rho], a is clamped into it and b = rho - a, in place."""
     if not tol >= 0:  # NaN fails every comparison
         raise WalkError(f"tol must be >= 0, got {tol!r}")
     right, left = split = _split(rho)
+    rs = rho.buf[:len(right)]
     aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
     # Where rho = 0, rho + tol is exactly tol.
-    return split, aj > rho.buf[:len(aj)] + tol, aj
+    violated = aj > rs + tol
+    clamp = ~violated & ((np.minimum(right, left, out=aj) < 0.0)
+                         | (np.maximum(right, left, out=aj) > rs))
+    if clamp.any():
+        a = right[clamp] = np.clip(right[clamp], 0.0, rs[clamp])
+        left[clamp] = rs[clamp] - a
+    return split, violated
+
+
+def _feasible_split(rho: ProbabilitySequence):
+    """The clamped split of a target within the flux bound, for synthesis;
+    otherwise InfeasibleTargetError names the first five violated sites."""
+    split, violated = _flux_bound(rho, DEFAULT_TOL)
+    if violated.any():
+        ns, ts = (x.tolist() for x in flat_sites(np.flatnonzero(violated)[:5]))
+        raise InfeasibleTargetError(
+            "target is infeasible; flux bound violated at "
+            + ", ".join(map("(n={}, t={})".format, ns, ts)), n=ns[0], t=ts[0])
+    return split
 
 
 def validate_sequence(rho: ProbabilitySequence,
                       tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Check |J| <= rho + tol at every on-support site and list the boundary
     and undefined sites; infeasibility is a report outcome, not an error."""
-    (right, left), violated, aj = _flux_bound(rho, tol)
-    rs = rho.buf[:len(aj)]
+    (right, left), violated = _flux_bound(rho, tol)
+    rs = rho.buf[:len(right)]
     zero = rs == 0.0
     undefined = zero & ~violated
-    np.abs(np.subtract(aj, rs, out=aj), out=aj)  # ||J| - rho|, in place
-    boundary = ~zero & ~violated & (aj <= tol)
     js = right[violated] - left[violated]
+    twice_min = 2.0 * np.minimum(right, left, out=right)
+    boundary = ~zero & ~violated & (twice_min <= tol * rs)
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
         zip(_sites(violated), js.tolist(), rs[violated].tolist()))

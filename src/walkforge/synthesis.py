@@ -22,7 +22,6 @@ from .lattice import (
     InfeasibleTargetError,
     IntegrityError,
     JumpSchedule,
-    NEG_CLAMP,
     ProbabilitySequence,
     WaveField,
     _first_fault,
@@ -37,39 +36,25 @@ COIN_NORM_TOL = 1e-8
 EDGE_CLAMP = 1e-10
 
 
-def reconstruct_wavefield(rho: ProbabilitySequence, *,
-                          _split=None) -> WaveField:
+def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     """Recover the non-negative real components psi+-(n, t) realising rho.
 
     At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
     convention.  Slice t + 1 of psi+^2 is [0, a(., t)] and of psi-^2
-    [b(., t), 0], from ``_split``, (a, b) computed before, or a new split.
-    Squared amplitudes below -1e-12 raise :class:`InfeasibleTargetError`.
-    The flux check does not pre-empt this: its additive tolerance of 1e-10
-    passes a = -4e-11 (ROADMAP.md, correctness aim).
+    [b(., t), 0], a and b clamped into [0, rho] by the flux-bound gate
+    (:func:`feasibility._feasible_split`); both are zero wherever rho is.
     """
-    split = feasibility._split(rho) if _split is None else _split
     # Squared until the end.  Each slice of a gains a zero in front and each
     # of b one behind; they start at ``first``, which ends with their length.
     first = slice_offset(np.arange(rho.horizon + 1))
     zeros = (np.r_[0, first[:-1]], first)
-    plus, minus = (np.insert(x, at, 0.0) for x, at in zip(split, zeros))
+    plus, minus = (np.insert(x, at, 0.0) for x, at in
+                   zip(feasibility._feasible_split(rho), zeros))
     plus[0] = 1.0
-    # The earliest slice's fault, psi+ first: min keeps the first of ties.
-    faults = [(_first_fault(bad), buf) for buf in (plus, minus)
-              if (bad := buf < -NEG_CLAMP).any()]
-    if faults:
-        (i, n, t), buf = min(faults, key=lambda fault: fault[0][2])
-        raise InfeasibleTargetError(
-            f"squared amplitude {buf[i]:.3e} at (n={n}, t={t}); target is not "
-            "realisable by a nearest-neighbor walk", n=n, t=t)
-    # rho(n, t) = a(n, t) + b(n, t), both >= 0: where rho vanishes so do
-    # they, not a partial-sum residue.
     empty = rho.buf == 0.0
-    for buf, at in zip((plus, minus), zeros):
-        buf[np.insert(empty[:len(split[0])], at, False)] = 0.0
-        np.sqrt(np.clip(buf, 0.0, None, out=buf), out=buf)[empty] = 0.0
+    for buf in (plus, minus):
+        np.sqrt(buf, out=buf)[empty] = 0.0
     return WaveField(plus, minus)
 
 
@@ -79,7 +64,8 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     and psi+ psi+' - psi- psi-' = rho cos theta, where psi+' = psi+(n+1, t+1)
     and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
     keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
-    (absolute below the smallest normal), or IntegrityError names the site.
+    (absolute below the smallest normal; an undefined site passes on none),
+    or IntegrityError names the site.
     """
     wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
     wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
@@ -92,7 +78,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     np.abs(np.subtract(drift, mass, out=drift), out=drift)
     scale = np.maximum(mass, np.finfo(float).tiny, out=mass)
     defined = (wp != 0.0) | (wm != 0.0)
-    bad = defined & (drift > COIN_NORM_TOL * scale)
+    bad = drift > COIN_NORM_TOL * scale
     if bad.any():
         i, n, t = _first_fault(bad)
         raise IntegrityError(
@@ -108,7 +94,8 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     """p(n, t) = num / rho wherever rho > 0, undefined where rho = 0.
 
     Values within EDGE_CLAMP of [0, 1] are clamped onto it; anything further
-    out raises :class:`InfeasibleTargetError` naming the first such site.
+    out, which only mimicry can produce, raises :class:`InfeasibleTargetError`
+    naming the first such site.
     """
     mask = rho > 0.0
     p = np.full(len(rho), math.nan)
@@ -122,11 +109,10 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     return JumpSchedule(np.clip(p, 0.0, 1.0))
 
 
-def synthesize_jumps(rho: ProbabilitySequence, *,
-                     _split=None) -> JumpSchedule:
+def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
     """Jump probabilities p(n, t) = (rho + J) / (2 rho) = a / rho wherever
-    rho > 0, a from ``_split``, (a, b) computed before, or a new split."""
-    right = (feasibility._split(rho) if _split is None else _split)[0]
+    rho > 0, a clamped into [0, rho] by :func:`feasibility._feasible_split`."""
+    right = feasibility._feasible_split(rho)[0]
     return _jump_schedule(right, rho.buf[:len(right)])
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from walkforge.feasibility import DEFAULT_TOL, FeasibilityReport, Violation
 from walkforge.lattice import (
-    NEG_CLAMP,
     CoinSchedule,
     FluxField,
     InfeasibleTargetError,
@@ -171,31 +170,59 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
     return FluxField([a - b for a, b in zip(*split(rho))])
 
 
+def clamped_split(rho: ProbabilitySequence, tol: float = DEFAULT_TOL):
+    """The flux bound |J| <= rho + tol judged site by site on the split:
+    the violations, and a and b with a clamped into [0, rho] and b = rho - a
+    wherever the bound holds but a or b lies outside [0, rho].  The
+    tolerance is additive because rho can be exactly zero at interior
+    sites."""
+    rights, lefts = split(rho)
+    violations = []
+    for t, (right, left) in enumerate(zip(rights, lefts)):
+        rs = rho.slices[t]
+        for k in range(t + 1):
+            a, b, r = float(right[k]), float(left[k]), float(rs[k])
+            if abs(a - b) > r + tol:
+                violations.append(Violation(from_storage_index(k, t), t,
+                                            a - b, r))
+            elif min(a, b) < 0.0 or max(a, b) > r:
+                right[k] = a = min(max(a, 0.0), r)
+                left[k] = r - a
+    return rights, lefts, violations
+
+
+def feasible_split(rho: ProbabilitySequence):
+    """The clamped split of a target that passes the flux bound at
+    DEFAULT_TOL; otherwise the error names the first five violated sites."""
+    rights, lefts, violations = clamped_split(rho)
+    if violations:
+        sites = ", ".join(f"(n={v.n}, t={v.t})" for v in violations[:5])
+        raise InfeasibleTargetError(
+            f"target is infeasible; flux bound violated at {sites}",
+            n=violations[0].n, t=violations[0].t)
+    return rights, lefts
+
+
 def validate_sequence(rho: ProbabilitySequence,
                       tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Check the flux bound |J| <= rho + tol at every on-support site.
-
-    Infeasibility is a report outcome, not an error.  The tolerance is
-    additive because rho can be exactly zero at interior sites.
-    """
-    violations = []
+    """Check the flux bound at every on-support site; infeasibility is a
+    report outcome, not an error.  A feasible site with rho = 0 is
+    undefined, and one with 2 min(a, b) <= tol rho on the clamped split is
+    a boundary site."""
+    rights, lefts, violations = clamped_split(rho, tol)
+    violated = {(v.n, v.t) for v in violations}
     boundary = []
     undefined = []
-    for t, (right, left) in enumerate(zip(*split(rho))):
+    for t, (right, left) in enumerate(zip(rights, lefts)):
         rs = rho.slices[t]
         for k in range(t + 1):
             n = from_storage_index(k, t)
-            j = float(right[k]) - float(left[k])
             r = float(rs[k])
-            if r == 0.0:
-                if abs(j) > tol:
-                    violations.append(Violation(n, t, j, r))
-                else:
-                    undefined.append((n, t))
+            if (n, t) in violated:
                 continue
-            if abs(j) > r + tol:
-                violations.append(Violation(n, t, j, r))
-            elif abs(abs(j) - r) <= tol:
+            if r == 0.0:
+                undefined.append((n, t))
+            elif 2.0 * min(float(right[k]), float(left[k])) <= tol * r:
                 boundary.append((n, t))
     return FeasibilityReport(
         feasible=not violations,
@@ -211,28 +238,18 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
 
     At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
-    convention.  Both components are zero wherever rho is, and so is the
-    amplitude that an empty site passes on.  Squared amplitudes below -1e-12
-    raise :class:`InfeasibleTargetError` (the validator should pre-empt this).
+    convention.  Slice t of psi+^2 is [0, a(., t - 1)] and of psi-^2
+    [b(., t - 1), 0], from the clamped split of a feasible target; both
+    components are zero wherever rho is.
     """
     plus = [np.array([1.0])]
     minus = [np.array([0.0])]
-    for t, (wp2, wm2) in enumerate(zip(*squared_amplitudes(rho)), 1):
+    for t, (right, left) in enumerate(zip(*feasible_split(rho)), 1):
         cur = rho.slices[t]
-        prev = rho.slices[t - 1]
+        wp2 = np.concatenate(([0.0], right))
+        wm2 = np.concatenate((left, [0.0]))
         for arr in (wp2, wm2):
-            bad = arr < -NEG_CLAMP
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InfeasibleTargetError(
-                    f"squared amplitude {arr[k]:.3e} at "
-                    f"(n={from_storage_index(k, t)}, t={t}); target is not "
-                    "realisable by a nearest-neighbor walk",
-                    n=from_storage_index(k, t), t=t)
-            np.clip(arr, 0.0, None, out=arr)
             arr[cur == 0.0] = 0.0
-        wp2[1:][prev == 0.0] = 0.0
-        wm2[:-1][prev == 0.0] = 0.0
         plus.append(np.sqrt(wp2))
         minus.append(np.sqrt(wm2))
     return WaveField(plus, minus)
@@ -246,7 +263,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     rho sin theta = psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1),
     with rho = psi+^2 + psi-^2 at (n, t); theta is the two-argument
     arctangent of the undivided products, clamped to [0, pi].  Sites where
-    psi+ and psi- both vanish are undefined.
+    psi+ and psi- both vanish are undefined, and must pass on no mass.
     """
     tiny = np.finfo(float).tiny
     angles = []
@@ -257,10 +274,6 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
         wm_next = w.minus_slices[t + 1]
         theta = np.full(t + 1, math.nan)
         for k in range(t + 1):
-            if wp[k] == 0.0 and wm[k] == 0.0:
-                continue
-            c = wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]
-            s = wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]
             mass = wp[k] * wp[k] + wm[k] * wm[k]
             after = wp_next[k + 1] * wp_next[k + 1] + wm_next[k] * wm_next[k]
             drift = abs(after - mass)
@@ -270,6 +283,10 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
                     f"coin at (n={from_storage_index(k, t)}, t={t}) changes "
                     f"the local mass by {float(drift)!r}; wave field "
                     "inconsistent")
+            if wp[k] == 0.0 and wm[k] == 0.0:
+                continue
+            c = wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]
+            s = wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]
             if -EDGE_CLAMP * scale <= s < 0.0:
                 s = 0.0
             th = math.atan2(s, c)
@@ -289,9 +306,10 @@ def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
 
 
 def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
-    """Jump probabilities p(n, t) = a(n, t) / rho(n, t) wherever rho > 0."""
+    """Jump probabilities p(n, t) = a(n, t) / rho(n, t) wherever rho > 0, a
+    from the clamped split of a feasible target."""
     probs = []
-    for t, right in enumerate(split(rho)[0]):
+    for t, right in enumerate(feasible_split(rho)[0]):
         rs = rho.slices[t]
         p = np.full(t + 1, math.nan)
         mask = rs > 0.0

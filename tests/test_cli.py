@@ -169,6 +169,34 @@ def test_infeasible_synthesis_names_five_sites_without_a_report(
         "error": f"target is infeasible; flux bound violated at {sites}"}
 
 
+# Targets inside the additive flux tolerance, as (t, n, value) rows: one
+# with a = -4e-11 at (-1, 1), one with rho(1, 1) = 1e-20 passing 1e-15 right.
+WITHIN_TOLERANCE = {
+    "negative-split": [(0, 0, 1.0), (1, -1, 0.5), (1, 1, 0.5),
+                       (2, -2, 0.5 + 4e-11), (2, 0, 0.25 - 4e-11),
+                       (2, 2, 0.25)],
+    "tiny-site": [(0, 0, 1.0), (1, -1, 1.0), (1, 1, 1e-20), (2, -2, 0.5),
+                  (2, 0, 0.5 - 1e-15), (2, 2, 1e-20 + 1e-15)],
+}
+
+
+@pytest.mark.parametrize("walk", ["qw", "rw"])
+@pytest.mark.parametrize("rows", WITHIN_TOLERANCE.values(),
+                         ids=WITHIN_TOLERANCE.keys())
+def test_targets_validate_accepts_synthesize(capsys, tmp_path, rows, walk):
+    # validate and synthesis make the same flux-bound test, and synthesis
+    # reads the split clamped within its tolerance.
+    path = tmp_path / "target.csv"
+    path.write_text("t,n,value\n" + "".join(
+        f"{t},{n},{value!r}\n" for t, n, value in rows))
+    code, out, _ = run(capsys, "validate", "--target", f"file:{path}")
+    assert code == 0 and json.loads(out)["feasible"] is True
+    code, out, err = run(capsys, "roundtrip", "--target", f"file:{path}",
+                         "--walk", walk)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
 def test_exception_without_text_is_named(capsys, monkeypatch):
     def out_of_memory(*_):
         raise MemoryError

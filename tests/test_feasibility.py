@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkforge.feasibility import flux_from_rho, flux_from_wavefield, validate_sequence
-from walkforge.lattice import ProbabilitySequence, from_storage_index
-from walkforge.synthesis import reconstruct_wavefield
+from oracles import random_jump_target
+from walkforge import feasibility
+from walkforge.evolve import evolve_qw, evolve_rw_exact
+from walkforge.feasibility import (DEFAULT_TOL, flux_from_rho,
+                                   flux_from_wavefield, validate_sequence)
+from walkforge.lattice import (CoverageError, InfeasibleTargetError,
+                               IntegrityError, ProbabilitySequence,
+                               from_storage_index, probability_from_wavefield)
+from walkforge.synthesis import (COIN_NORM_TOL, reconstruct_wavefield,
+                                 synthesize_coins, synthesize_jumps)
 from walkforge.targets import binomial_target, uniform_target
 
 
@@ -129,3 +138,72 @@ def test_flux_from_wavefield_matches_recursion():
     b = flux_from_wavefield(field)
     for t in range(20):
         assert np.allclose(a.slices[t], b.slices[t], atol=1e-12)
+
+
+def _perturbed_jump_target(rng, horizon, small):
+    """A master-equation target with some empty sites, where one to three
+    times a mass delta moves between two sites of one slice: delta <= tol/4
+    if ``small``, else delta >= 4 tol.  Slice totals are kept, and the site
+    that gives holds at least delta, so the target loads."""
+    slices = [s.copy() for s in
+              random_jump_target(rng, horizon, p_edge=0.3).slices]
+    for _ in range(rng.integers(1, 4)):
+        x = slices[rng.integers(1, horizon + 1)]
+        delta = (DEFAULT_TOL / 4 * rng.random() if small
+                 else 4 * DEFAULT_TOL * 10 ** rng.uniform(0.0, 6.0))
+        give = rng.choice(np.flatnonzero(x >= delta))
+        take = rng.choice(np.flatnonzero(np.arange(len(x)) != give))
+        x[give] -= delta
+        x[take] += delta
+    return ProbabilitySequence(slices)
+
+
+def _max_error(evolved, rho):
+    return float(np.max(np.abs(evolved.buf - rho.buf)))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(2, 14))
+@settings(max_examples=150, deadline=None)
+def test_validate_and_synthesis_agree_on_perturbed_targets(seed, small,
+                                                           horizon):
+    rho = _perturbed_jump_target(np.random.default_rng(seed), horizon, small)
+    report = validate_sequence(rho)
+    first = [(v.n, v.t) for v in report.violations[:1]]
+    try:
+        jumps = synthesize_jumps(rho)
+    except InfeasibleTargetError as exc:
+        assert [(exc.n, exc.t)] == first
+    else:
+        assert report.feasible
+        try:
+            assert _max_error(evolve_rw_exact(jumps), rho) < 1e-10
+        except CoverageError as exc:
+            # A known limit: the clamp may pass up to tol of mass into a
+            # site where the target is exactly 0, and the walk refuses to
+            # step it on where that mass exceeds DEAD_MASS (1e-12).
+            n, t = map(int, re.search(r"\(n=(-?\d+), t=(\d+)\)",
+                                      str(exc)).groups())
+            assert rho.value(n, t) == 0.0
+    try:
+        coins = synthesize_coins(reconstruct_wavefield(rho))
+    except InfeasibleTargetError as exc:
+        assert [(exc.n, exc.t)] == first
+    except IntegrityError:
+        # qw is stricter than the flux tolerance: a clamped mass delta is an
+        # amplitude of about sqrt(delta), so the wave field's norm or a coin
+        # step's mass drift may exceed its own tolerance.
+        assert report.feasible
+    else:
+        assert report.feasible
+        # A known limit: where the gate clamped the split, a mass defect
+        # delta at a site of mass m is an amplitude error of about
+        # delta / (2 sqrt m), which interference downstream can raise to
+        # delta sqrt(M / m) in mass (1.24e-10 in one example).  The coin
+        # check bounds the drift of each step by COIN_NORM_TOL relative, so
+        # that is the bound there; without a clamp it is 1e-10.
+        a, b = feasibility._split(rho)
+        clamped = ((np.minimum(a, b) < 0.0)
+                   | (np.maximum(a, b) > rho.buf[:len(a)])).any()
+        evolved = probability_from_wavefield(evolve_qw(coins))
+        assert _max_error(evolved, rho) < (COIN_NORM_TOL if clamped
+                                           else 1e-10)

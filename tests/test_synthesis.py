@@ -78,10 +78,14 @@ def test_wavefield_one_step_conservation():
 
 
 def test_infeasible_target_rejected_during_reconstruction():
+    # The flux-bound gate rejects the target at its first violated site,
+    # before any squared amplitude is formed.
     rho = ProbabilitySequence([[1.0], [0.5, 0.5], [0.05, 0.05, 0.9]])
     with pytest.raises(InfeasibleTargetError) as err:
         reconstruct_wavefield(rho)
-    assert err.value.t == 2
+    assert str(err.value) == \
+        "target is infeasible; flux bound violated at (n=1, t=1)"
+    assert (err.value.n, err.value.t) == (1, 1)
 
 
 def test_inconsistent_coin_error_prints_a_plain_float():
@@ -210,11 +214,27 @@ def test_binomial_jump_is_constant():
 
 
 def test_infeasible_jump_error_prints_a_plain_float():
+    # The gate names the site before any jump probability is formed; the
+    # clamped split keeps every a / rho of a feasible target in [0, 1].
     rho = ProbabilitySequence([[1.0], [0.5, 0.5], [0.05, 0.05, 0.9]])
     with pytest.raises(InfeasibleTargetError) as err:
         synthesize_jumps(rho)
     assert str(err.value) == \
-        "jump probability 1.8 at (n=1, t=1) outside [0, 1]"
+        "target is infeasible; flux bound violated at (n=1, t=1)"
+    assert (err.value.n, err.value.t) == (1, 1)
+
+
+def test_mimicry_jump_error_prints_a_plain_float():
+    # Site (-1, 1) holds mass 0.25 but passes 0.75 right: p = 3 but for
+    # rounding.  Synthesis cannot get here; mimicry reads a wave field.
+    w = WaveField([[1.0], [0.0, math.sqrt(0.75)], [0.0, math.sqrt(0.75), 0.0]],
+                  [[0.0], [0.5, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(InfeasibleTargetError) as err:
+        mimic_quantum_walk(w)
+    assert str(err.value) == \
+        f"jump probability {math.sqrt(0.75) ** 2 / 0.25!r} at (n=-1, t=1) " \
+        "outside [0, 1]"
+    assert (err.value.n, err.value.t) == (-1, 1)
 
 
 def test_jump_round_trip():
