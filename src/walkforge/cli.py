@@ -31,7 +31,7 @@ from .evolve import (
     evolve_rw_exact,
     simulate_rw,
 )
-from .feasibility import DEFAULT_TOL, validate_sequence
+from .feasibility import validate_sequence
 from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
@@ -96,7 +96,7 @@ def _target_sequence(args) -> ProbabilitySequence:
 
 def cmd_validate(args) -> int:
     rho = _target_sequence(args)
-    report = validate_sequence(rho, tol=args.tol)
+    report = validate_sequence(rho)
     _print_json({**report.to_dict(), "schema_version": io.SCHEMA_VERSION})
     return EXIT_OK if report.feasible else EXIT_FAIL
 
@@ -260,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a target against the flux bound")
     common(p, target=True, horizon=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fail "
-                   "|J| > rho + tol; flag 2 min(a, b) <= tol rho (%(default)g)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a coin or jump schedule")

@@ -4,8 +4,8 @@ Conservation splits the mass of each site in two: a(n, t) = (rho + J) / 2
 passes right and b(n, t) = (rho - J) / 2 left, J = a - b the flux.  Partial
 sums of two consecutive slices fix both, so a sequence is realisable by
 some walk (quantum or classical) exactly when a, b >= 0, i.e. |J| <= rho.
-One gate, :func:`_flux_bound`, judges the split for the feasibility report,
-the wave field and the jump probabilities alike, clamping it within tol.
+One gate, :func:`_flux_bound`, judges the split at DEFAULT_TOL for the
+feasibility report, the wave field and the jump probabilities alike.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (FluxField, InfeasibleTargetError, ProbabilitySequence,
-                      WalkError, _blocks, flat_sites, neighbours, prefix_sums,
+                      _blocks, flat_sites, neighbours, prefix_sums,
                       slice_offset, suffix_sums)
 
 DEFAULT_TOL = 1e-10
@@ -88,30 +88,36 @@ def _sites(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(ns.tolist(), ts.tolist()))
 
 
-def _flux_bound(rho: ProbabilitySequence, tol: float):
-    """The one test of the flux bound |J| <= rho + tol, additive because rho
-    can be exactly zero inside the cone: the split (a, b) and the mask of the
-    sites that fail it.  Where the bound holds but a or b lies outside
-    [0, rho], a is clamped into it and b = rho - a, in place."""
-    if not tol >= 0:  # NaN fails every comparison
-        raise WalkError(f"tol must be >= 0, got {tol!r}")
+def _flux_bound(rho: ProbabilitySequence):
+    """The one test of the flux bound |J| <= rho + DEFAULT_TOL, additive
+    because rho can be exactly zero inside the cone: the split (a, b) and
+    the mask of the sites that fail it.  Where the bound holds, in place, a
+    is clamped into [0, rho] and b = rho - a, and a site whose destination
+    (n + 1, t + 1) or (n - 1, t + 1) is empty sends all its mass to the
+    other one (to (n + 1, t + 1) when both are)."""
     right, left = split = _split(rho)
     rs = rho.buf[:len(right)]
     aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
     # Where rho = 0, rho + tol is exactly tol.
-    violated = aj > rs + tol
+    violated = aj > rs + DEFAULT_TOL
     clamp = ~violated & ((np.minimum(right, left, out=aj) < 0.0)
                          | (np.maximum(right, left, out=aj) > rs))
     if clamp.any():
         a = right[clamp] = np.clip(right[clamp], 0.0, rs[clamp])
         left[clamp] = rs[clamp] - a
+    if not rho.buf.all():
+        empty = rho.buf == 0.0
+        for dn, zero, full in ((1, right, left), (-1, left, right)):
+            fix = (neighbours(empty, dn) & ~violated
+                   & ((zero != 0.0) | (full != rs)))
+            zero[fix], full[fix] = 0.0, rs[fix]
     return split, violated
 
 
 def _feasible_split(rho: ProbabilitySequence):
     """The clamped split of a target within the flux bound, for synthesis;
     otherwise InfeasibleTargetError names the first five violated sites."""
-    split, violated = _flux_bound(rho, DEFAULT_TOL)
+    split, violated = _flux_bound(rho)
     if violated.any():
         ns, ts = (x.tolist() for x in flat_sites(np.flatnonzero(violated)[:5]))
         raise InfeasibleTargetError(
@@ -120,17 +126,17 @@ def _feasible_split(rho: ProbabilitySequence):
     return split
 
 
-def validate_sequence(rho: ProbabilitySequence,
-                      tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Check |J| <= rho + tol at every on-support site and list the boundary
-    and undefined sites; infeasibility is a report outcome, not an error."""
-    (right, left), violated = _flux_bound(rho, tol)
+def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
+    """Check |J| <= rho + DEFAULT_TOL at every on-support site and list the
+    boundary and undefined sites of the split that synthesis reads;
+    infeasibility is a report outcome, not an error."""
+    (right, left), violated = _flux_bound(rho)
     rs = rho.buf[:len(right)]
     zero = rs == 0.0
     undefined = zero & ~violated
     js = right[violated] - left[violated]
     twice_min = 2.0 * np.minimum(right, left, out=right)
-    boundary = ~zero & ~violated & (twice_min <= tol * rs)
+    boundary = ~zero & ~violated & (twice_min <= DEFAULT_TOL * rs)
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
         zip(_sites(violated), js.tolist(), rs[violated].tolist()))

@@ -10,6 +10,7 @@ builds the seeded targets several test modules share.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -124,6 +125,37 @@ def flux_recursion(rho: ProbabilitySequence) -> FluxField:
     return FluxField(slices)
 
 
+def fixed_point(x) -> int:
+    """A double as the exact integer multiple of 2**-1074 it is."""
+    num, den = float(x).as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def exact_flux(rho: ProbabilitySequence) -> list[list[int]]:
+    """J(n, t) = a - b for t = 0..T-1, exact, in units of 2**-1074 (see
+    :func:`fixed_point`), with a and b each taken from the partial sums
+    anchored at the nearer cone edge, as the library's split takes them:
+    slice totals may differ from 1 and from each other by rounding, so the
+    anchoring matters at the last ulp."""
+    half = fixed_point(0.5)
+    slices = []
+    for t in range(rho.horizon):
+        cur, nxt = ([fixed_point(x) for x in rho.slices[s]]
+                    for s in (t, t + 1))
+        # pre[k] sums x[:k] and suf[k] sums x[k:] of a slice x.
+        pre_c, pre_n = ([0, *accumulate(x)] for x in (cur, nxt))
+        suf_c, suf_n = ([*accumulate(reversed(x))][::-1] + [0]
+                        for x in (cur, nxt))
+        flux = []
+        for k in range(t + 1):
+            above, upto = suf_n[k + 1], pre_n[k + 1]
+            a = (above - suf_c[k + 1] if above <= half
+                 else pre_c[k + 1] - upto)
+            b = upto - pre_c[k] if upto <= half else suf_c[k] - above
+            flux.append(a - b)
+        slices.append(flux)
+    return slices
+
 
 def squared_amplitudes(rho: ProbabilitySequence):
     """psi+^2 and psi-^2 of slices t = 1..T, unclamped: slice t + 1 of psi+^2
@@ -170,24 +202,33 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
     return FluxField([a - b for a, b in zip(*split(rho))])
 
 
-def clamped_split(rho: ProbabilitySequence, tol: float = DEFAULT_TOL):
-    """The flux bound |J| <= rho + tol judged site by site on the split:
-    the violations, and a and b with a clamped into [0, rho] and b = rho - a
-    wherever the bound holds but a or b lies outside [0, rho].  The
-    tolerance is additive because rho can be exactly zero at interior
+def clamped_split(rho: ProbabilitySequence):
+    """The flux bound |J| <= rho + DEFAULT_TOL judged site by site on the
+    split: the violations, and a and b made feasible wherever the bound
+    holds.  There a is clamped into [0, rho] and b = rho - a, and a site
+    whose destination (n + 1, t + 1) or (n - 1, t + 1) holds no mass sends
+    all of its own to the other one, to (n + 1, t + 1) when both are empty.
+    The tolerance is additive because rho can be exactly zero at interior
     sites."""
     rights, lefts = split(rho)
     violations = []
     for t, (right, left) in enumerate(zip(rights, lefts)):
-        rs = rho.slices[t]
+        rs, nxt = rho.slices[t], rho.slices[t + 1]
         for k in range(t + 1):
             a, b, r = float(right[k]), float(left[k]), float(rs[k])
-            if abs(a - b) > r + tol:
+            if abs(a - b) > r + DEFAULT_TOL:
                 violations.append(Violation(from_storage_index(k, t), t,
                                             a - b, r))
-            elif min(a, b) < 0.0 or max(a, b) > r:
-                right[k] = a = min(max(a, 0.0), r)
-                left[k] = r - a
+                continue
+            if min(a, b) < 0.0 or max(a, b) > r:
+                a = min(max(a, 0.0), r)
+                b = r - a
+            # Only sites whose split differs change, as in the library.
+            if nxt[k + 1] == 0.0 and (a != 0.0 or b != r):
+                a, b = 0.0, r
+            if nxt[k] == 0.0 and (b != 0.0 or a != r):
+                a, b = r, 0.0
+            right[k], left[k] = a, b
     return rights, lefts, violations
 
 
@@ -203,13 +244,12 @@ def feasible_split(rho: ProbabilitySequence):
     return rights, lefts
 
 
-def validate_sequence(rho: ProbabilitySequence,
-                      tol: float = DEFAULT_TOL) -> FeasibilityReport:
+def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
     """Check the flux bound at every on-support site; infeasibility is a
     report outcome, not an error.  A feasible site with rho = 0 is
-    undefined, and one with 2 min(a, b) <= tol rho on the clamped split is
-    a boundary site."""
-    rights, lefts, violations = clamped_split(rho, tol)
+    undefined, and one with 2 min(a, b) <= DEFAULT_TOL rho on the clamped
+    split is a boundary site."""
+    rights, lefts, violations = clamped_split(rho)
     violated = {(v.n, v.t) for v in violations}
     boundary = []
     undefined = []
@@ -222,7 +262,7 @@ def validate_sequence(rho: ProbabilitySequence,
                 continue
             if r == 0.0:
                 undefined.append((n, t))
-            elif 2.0 * min(float(right[k]), float(left[k])) <= tol * r:
+            elif 2.0 * min(float(right[k]), float(left[k])) <= DEFAULT_TOL * r:
                 boundary.append((n, t))
     return FeasibilityReport(
         feasible=not violations,

@@ -170,13 +170,20 @@ def test_infeasible_synthesis_names_five_sites_without_a_report(
 
 
 # Targets inside the additive flux tolerance, as (t, n, value) rows: one
-# with a = -4e-11 at (-1, 1), one with rho(1, 1) = 1e-20 passing 1e-15 right.
+# with a = -4e-11 at (-1, 1), one with rho(1, 1) = 1e-20 passing 1e-15 right,
+# and one whose clamped split at (1, 1) would pass 4e-11 left into the empty
+# site (0, 2).
 WITHIN_TOLERANCE = {
     "negative-split": [(0, 0, 1.0), (1, -1, 0.5), (1, 1, 0.5),
                        (2, -2, 0.5 + 4e-11), (2, 0, 0.25 - 4e-11),
                        (2, 2, 0.25)],
     "tiny-site": [(0, 0, 1.0), (1, -1, 1.0), (1, 1, 1e-20), (2, -2, 0.5),
                   (2, 0, 0.5 - 1e-15), (2, 2, 1e-20 + 1e-15)],
+    "empty-destination": [(0, 0, 1.0), (1, -1, 0.5), (1, 1, 0.5),
+                          (2, -2, 0.5 + 4e-11), (2, 0, 0.0),
+                          (2, 2, 0.5 - 4e-11), (3, -3, 0.25 + 2e-11),
+                          (3, -1, 0.25 + 2e-11), (3, 1, 0.25 - 2e-11),
+                          (3, 3, 0.25 - 2e-11)],
 }
 
 
@@ -193,6 +200,15 @@ def test_targets_validate_accepts_synthesize(capsys, tmp_path, rows, walk):
     assert code == 0 and json.loads(out)["feasible"] is True
     code, out, err = run(capsys, "roundtrip", "--target", f"file:{path}",
                          "--walk", walk)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+def test_roundtrip_at_horizon_ten_thousand(capsys):
+    # 5e7 sites, about 2 GB at peak and 10 s; the target holds millions of
+    # empty sites, whose split the gate keeps off them.
+    code, out, err = run(capsys, "roundtrip", "--target", "binomial:0.3",
+                         "-T", "10000", "--walk", "rw")
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True
 
@@ -552,8 +568,9 @@ CONTRACT = [
      "seed must be in [0, 2**63)"),
     (["figure", "--which", "fig1", "-T", "4", "-N", "10", "--seed", "-1",
       "--out", "{tmp}"], "seed must be in [0, 2**63)"),
+    # One tolerance judges every verdict; validate takes none.
     (["validate", "--target", "uniform", "-T", "3", "--tol", "nan"],
-     "tol must be >= 0"),
+     "walkforge: unrecognized arguments: --tol nan"),
     (["evolve", "--schedule", "{tmp}/coins.json", "--init", "nan,0"],
      "initial state norm nan"),
     # The field's own tolerance, 1e-12, not a looser one of the CLI.
