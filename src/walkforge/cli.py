@@ -108,6 +108,13 @@ def _synthesize(rho: ProbabilitySequence, walk: str):
     return synthesize_coins(reconstruct_wavefield(rho))
 
 
+def _evolve(schedule, init=(1.0, 0.0), horizon=None) -> ProbabilitySequence:
+    """rho of a coin schedule evolved from ``init``, or of a jump schedule."""
+    if isinstance(schedule, CoinSchedule):
+        return probability_from_wavefield(evolve_qw(schedule, init, horizon))
+    return evolve_rw_exact(schedule, horizon)
+
+
 def cmd_synth(args) -> int:
     _require(args, "walk", "out")
     rho = _target_sequence(args)
@@ -126,18 +133,13 @@ def cmd_evolve(args) -> int:
     if kind == "rw" and args.init is not None:
         raise WalkError(f"--init applies to qw schedules only; "
                         f"{args.schedule} holds an rw schedule")
-    if kind == "qw":
-        text = "1,0" if args.init is None else args.init
-        try:
-            a, b = map(float, text.split(","))
-        except ValueError:
-            raise WalkError("--init takes two comma-separated amplitudes, "
-                            f"got {text!r}") from None
-        rho = probability_from_wavefield(
-            evolve_qw(schedule, (a, b), args.horizon))
-    else:
-        rho = evolve_rw_exact(schedule, args.horizon)
-    _emit_field(rho, args)
+    text = "1,0" if args.init is None else args.init
+    try:
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise WalkError("--init takes two comma-separated amplitudes, "
+                        f"got {text!r}") from None
+    _emit_field(_evolve(schedule, (a, b), args.horizon), args)
     return EXIT_OK
 
 
@@ -185,11 +187,7 @@ def cmd_hadamard(args) -> int:
 def cmd_roundtrip(args) -> int:
     _require(args, "walk")
     rho = _target_sequence(args)
-    schedule = _synthesize(rho, args.walk)
-    if args.walk == "qw":
-        evolved = probability_from_wavefield(evolve_qw(schedule))
-    else:
-        evolved = evolve_rw_exact(schedule)
+    evolved = _evolve(_synthesize(rho, args.walk))
     err = np.abs(evolved.buf - rho.buf)
     worst = int(np.argmax(err))  # the earliest, then leftmost, largest error
     n, t = flat_sites(worst)

@@ -66,9 +66,10 @@ class Violation:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
+    # The sites that fail :func:`_flux_bound`, with their unclamped J and rho.
     violations: tuple[Violation, ...]
-    # Sites with rho > 0 and 2 min(a, b) <= tol rho (||J| - rho| <= tol, made
-    # relative): the walker is pushed deterministically.  Feasible, flagged.
+    # Feasible sites with rho > 0 and 2 min(a, b) <= tol rho on the clipped
+    # split (||J| - rho| <= tol, made relative): the walker moves one way.
     boundary_sites: tuple[tuple[int, int], ...] = ()
     # Sites with rho = 0 and |J| <= tol: feasible, local dynamics undefined.
     undefined_sites: tuple[tuple[int, int], ...] = ()
@@ -92,30 +93,28 @@ def _flux_bound(rho: ProbabilitySequence):
     """The one test of the flux bound |J| <= rho + DEFAULT_TOL, additive
     because rho can be exactly zero inside the cone: the split (a, b) and
     the mask of the sites that fail it.  Where the bound holds, in place, a
-    is clamped into [0, rho] and b = rho - a, and a site whose destination
-    (n + 1, t + 1) or (n - 1, t + 1) is empty sends all its mass to the
-    other one (to (n + 1, t + 1) when both are)."""
+    split outside its interval gets a clipped into it and b = rho - a.  The
+    interval [0, rho] narrows to {0} where (n + 1, t + 1) is empty and to
+    {rho} where (n - 1, t + 1) is; a site with mass and both empty fails."""
     right, left = split = _split(rho)
     rs = rho.buf[:len(right)]
     aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
     # Where rho = 0, rho + tol is exactly tol.
     violated = aj > rs + DEFAULT_TOL
-    clamp = ~violated & ((np.minimum(right, left, out=aj) < 0.0)
-                         | (np.maximum(right, left, out=aj) > rs))
-    if clamp.any():
-        a = right[clamp] = np.clip(right[clamp], 0.0, rs[clamp])
-        left[clamp] = rs[clamp] - a
-    if not rho.buf.all():
-        empty = rho.buf == 0.0
-        for dn, zero, full in ((1, right, left), (-1, left, right)):
-            fix = (neighbours(empty, dn) & ~violated
-                   & ((zero != 0.0) | (full != rs)))
-            zero[fix], full[fix] = 0.0, rs[fix]
+    to_right, to_left = (neighbours(rho.buf != 0.0, dn) for dn in (1, -1))
+    narrowed = (rs != 0.0) & ~(to_right & to_left)
+    violated |= narrowed & ~(to_right | to_left)
+    at = np.flatnonzero(~violated & (
+        narrowed | (np.minimum(right, left, out=aj) < 0.0)
+        | (np.maximum(right, left, out=aj) > rs)))
+    r = rs[at]
+    right[at] = a = np.clip(right[at], r * ~to_left[at], r * to_right[at])
+    left[at] = r - a
     return split, violated
 
 
 def _feasible_split(rho: ProbabilitySequence):
-    """The clamped split of a target within the flux bound, for synthesis;
+    """The clipped split of a target within the flux bound, for synthesis;
     otherwise InfeasibleTargetError names the first five violated sites."""
     split, violated = _flux_bound(rho)
     if violated.any():
@@ -127,8 +126,8 @@ def _feasible_split(rho: ProbabilitySequence):
 
 
 def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
-    """Check |J| <= rho + DEFAULT_TOL at every on-support site and list the
-    boundary and undefined sites of the split that synthesis reads;
+    """Check the bound of :func:`_flux_bound` at every on-support site and
+    list the boundary and undefined sites of the split that synthesis reads;
     infeasibility is a report outcome, not an error."""
     (right, left), violated = _flux_bound(rho)
     rs = rho.buf[:len(right)]

@@ -32,7 +32,8 @@ from .lattice import (
 # Largest relative change of the local mass over one step of a wave field.
 COIN_NORM_TOL = 1e-8
 
-# Jump probabilities within this distance of [0, 1] are clamped onto it.
+# Jump probabilities within this distance of [0, 1] are clamped onto it, and
+# a coin's rho sin theta within this much of rho below 0 is rounded to 0.
 EDGE_CLAMP = 1e-10
 
 
@@ -42,8 +43,8 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     At t = 0 the components are fixed to psi+(0,0) = 1, psi-(0,0) = 0; the
     coin angle theta(0,0) produced by :func:`synthesize_coins` absorbs this
     convention.  Slice t + 1 of psi+^2 is [0, a(., t)] and of psi-^2
-    [b(., t), 0], a and b clamped into [0, rho] by the flux-bound gate
-    (:func:`feasibility._feasible_split`); both are zero wherever rho is.
+    [b(., t), 0], a and b clipped by the flux-bound gate
+    (:func:`feasibility._feasible_split`), which feeds no empty site.
     """
     # Squared until the end.  Each slice of a gains a zero in front and each
     # of b one behind; they start at ``first``, which ends with their length.
@@ -52,10 +53,7 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     plus, minus = (np.insert(x, at, 0.0) for x, at in
                    zip(feasibility._feasible_split(rho), zeros))
     plus[0] = 1.0
-    empty = rho.buf == 0.0
-    for buf in (plus, minus):
-        np.sqrt(buf, out=buf)[empty] = 0.0
-    return WaveField(plus, minus)
+    return WaveField(np.sqrt(plus, out=plus), np.sqrt(minus, out=minus))
 
 
 def synthesize_coins(w: WaveField) -> CoinSchedule:
@@ -65,7 +63,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
     keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
     (absolute below the smallest normal; an undefined site passes on none),
-    or IntegrityError names the site.
+    and rho sin theta >= -EDGE_CLAMP rho, or IntegrityError names the site.
     """
     wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
     wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
@@ -84,7 +82,12 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
         raise IntegrityError(
             f"coin at (n={n}, t={t}) changes the local mass by "
             f"{float(drift[i])!r}; wave field inconsistent")
-    s[(s >= -EDGE_CLAMP * scale) & (s < 0.0)] = 0.0
+    bad = defined & (s < -EDGE_CLAMP * scale)
+    if bad.any():
+        i, n, t = _first_fault(bad)
+        raise IntegrityError(f"coin at (n={n}, t={t}) has rho sin theta = "
+                             f"{float(s[i])!r} < 0; wave field inconsistent")
+    s[s < 0.0] = 0.0
     theta = np.clip(np.arctan2(s, c, out=c), 0.0, math.pi, out=c)
     theta[~defined] = math.nan
     return CoinSchedule(theta)
@@ -111,7 +114,7 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
 
 def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:
     """Jump probabilities p(n, t) = (rho + J) / (2 rho) = a / rho wherever
-    rho > 0, a clamped into [0, rho] by :func:`feasibility._feasible_split`."""
+    rho > 0, a clipped by :func:`feasibility._feasible_split`."""
     right = feasibility._feasible_split(rho)[0]
     return _jump_schedule(right, rho.buf[:len(right)])
 

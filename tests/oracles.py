@@ -205,29 +205,27 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
 def clamped_split(rho: ProbabilitySequence):
     """The flux bound |J| <= rho + DEFAULT_TOL judged site by site on the
     split: the violations, and a and b made feasible wherever the bound
-    holds.  There a is clamped into [0, rho] and b = rho - a, and a site
-    whose destination (n + 1, t + 1) or (n - 1, t + 1) holds no mass sends
-    all of its own to the other one, to (n + 1, t + 1) when both are empty.
-    The tolerance is additive because rho can be exactly zero at interior
-    sites."""
+    holds.  There a split outside the interval the site's destinations
+    allow takes a clipped into it and b = rho - a.  The interval is
+    [0, rho], narrowed to {0} where (n + 1, t + 1) holds no mass and to
+    {rho} where (n - 1, t + 1) holds none; a site with rho > 0 and both
+    destinations empty has none, and is a violation.  The tolerance is
+    additive because rho can be exactly zero at interior sites."""
     rights, lefts = split(rho)
     violations = []
     for t, (right, left) in enumerate(zip(rights, lefts)):
         rs, nxt = rho.slices[t], rho.slices[t + 1]
         for k in range(t + 1):
             a, b, r = float(right[k]), float(left[k]), float(rs[k])
-            if abs(a - b) > r + DEFAULT_TOL:
+            lo = r if nxt[k] == 0.0 else 0.0
+            hi = 0.0 if nxt[k + 1] == 0.0 else r
+            if abs(a - b) > r + DEFAULT_TOL or lo > hi:
                 violations.append(Violation(from_storage_index(k, t), t,
                                             a - b, r))
                 continue
-            if min(a, b) < 0.0 or max(a, b) > r:
-                a = min(max(a, 0.0), r)
+            if not (lo <= a <= hi and r - hi <= b <= r - lo):
+                a = min(max(a, lo), hi)
                 b = r - a
-            # Only sites whose split differs change, as in the library.
-            if nxt[k + 1] == 0.0 and (a != 0.0 or b != r):
-                a, b = 0.0, r
-            if nxt[k] == 0.0 and (b != 0.0 or a != r):
-                a, b = r, 0.0
             right[k], left[k] = a, b
     return rights, lefts, violations
 
@@ -304,9 +302,13 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     with rho = psi+^2 + psi-^2 at (n, t); theta is the two-argument
     arctangent of the undivided products, clamped to [0, pi].  Sites where
     psi+ and psi- both vanish are undefined, and must pass on no mass.
+    Once every site keeps its mass, the first defined site whose
+    rho sin theta lies below -EDGE_CLAMP rho, which no angle in [0, pi]
+    can give, is an error; above that a negative one is taken as 0.
     """
     tiny = np.finfo(float).tiny
     angles = []
+    fault = None
     for t in range(w.horizon):
         wp = w.plus_slices[t]
         wm = w.minus_slices[t]
@@ -327,11 +329,18 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
                 continue
             c = wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]
             s = wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]
-            if -EDGE_CLAMP * scale <= s < 0.0:
+            if s < -EDGE_CLAMP * scale and fault is None:
+                fault = IntegrityError(
+                    f"coin at (n={from_storage_index(k, t)}, t={t}) has "
+                    f"rho sin theta = {float(s)!r} < 0; wave field "
+                    "inconsistent")
+            if s < 0.0:
                 s = 0.0
             th = math.atan2(s, c)
             theta[k] = min(max(th, 0.0), math.pi)
         angles.append(theta)
+    if fault is not None:
+        raise fault
     return CoinSchedule(angles)
 
 

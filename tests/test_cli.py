@@ -171,8 +171,9 @@ def test_infeasible_synthesis_names_five_sites_without_a_report(
 
 # Targets inside the additive flux tolerance, as (t, n, value) rows: one
 # with a = -4e-11 at (-1, 1), one with rho(1, 1) = 1e-20 passing 1e-15 right,
-# and one whose clamped split at (1, 1) would pass 4e-11 left into the empty
-# site (0, 2).
+# one whose clamped split at (1, 1) would pass 4e-11 left into the empty
+# site (0, 2), and one whose site (-1, 1) holds 4e-11 while both of its
+# destinations are empty, which fails the bound.
 WITHIN_TOLERANCE = {
     "negative-split": [(0, 0, 1.0), (1, -1, 0.5), (1, 1, 0.5),
                        (2, -2, 0.5 + 4e-11), (2, 0, 0.25 - 4e-11),
@@ -184,24 +185,34 @@ WITHIN_TOLERANCE = {
                           (2, 2, 0.5 - 4e-11), (3, -3, 0.25 + 2e-11),
                           (3, -1, 0.25 + 2e-11), (3, 1, 0.25 - 2e-11),
                           (3, 3, 0.25 - 2e-11)],
+    "stranded": [(0, 0, 1.0), (1, -1, 4e-11), (1, 1, 0.99999999996),
+                 (2, -2, 0.0), (2, 0, 0.0), (2, 2, 1.0), (3, -3, 0.0),
+                 (3, -1, 0.0), (3, 1, 0.5), (3, 3, 0.5)],
 }
+STRANDED = [{"n": -1, "t": 1, "J": 4e-11, "rho": 4e-11}]
 
 
 @pytest.mark.parametrize("walk", ["qw", "rw"])
-@pytest.mark.parametrize("rows", WITHIN_TOLERANCE.values(),
-                         ids=WITHIN_TOLERANCE.keys())
-def test_targets_validate_accepts_synthesize(capsys, tmp_path, rows, walk):
-    # validate and synthesis make the same flux-bound test, and synthesis
-    # reads the split clamped within its tolerance.
+@pytest.mark.parametrize("name", WITHIN_TOLERANCE)
+def test_targets_validate_accepts_synthesize(capsys, tmp_path, name, walk):
+    # validate and synthesis make the same flux-bound test: synthesis reads
+    # the split clipped within its tolerance, or names validate's violation.
     path = tmp_path / "target.csv"
     path.write_text("t,n,value\n" + "".join(
-        f"{t},{n},{value!r}\n" for t, n, value in rows))
+        f"{t},{n},{value!r}\n" for t, n, value in WITHIN_TOLERANCE[name]))
     code, out, _ = run(capsys, "validate", "--target", f"file:{path}")
-    assert code == 0 and json.loads(out)["feasible"] is True
+    violations = json.loads(out)["violations"]
+    assert (code, violations) == ((1, STRANDED) if name == "stranded"
+                                  else (0, []))
     code, out, err = run(capsys, "roundtrip", "--target", f"file:{path}",
                          "--walk", walk)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["pass"] is True
+    if violations:
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "target is infeasible; flux "
+                                   "bound violated at (n=-1, t=1)"}
+    else:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
 
 
 def test_roundtrip_at_horizon_ten_thousand(capsys):
@@ -285,8 +296,8 @@ def test_roundtrip_names_its_worst_site(capsys, monkeypatch):
     assert code == 0 and doc["max_error"] == 0.0
     assert doc["max_error_site"] == {"n": 0, "t": 0}
 
-    def perturbed(schedule):
-        buf = evolve_rw_exact(schedule).buf.copy()
+    def perturbed(schedule, steps=None):
+        buf = evolve_rw_exact(schedule, steps).buf.copy()
         for n, t, err in [(-2, 2, 2 ** -12), (0, 2, -2 ** -12),
                           (-1, 3, 2 ** -10), (1, 3, -2 ** -10),
                           (0, 4, 2 ** -10), (2, 4, -2 ** -10)]:

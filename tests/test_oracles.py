@@ -126,6 +126,30 @@ def test_small_targets_match_oracles(family, horizon, seed, edges):
     check_against_oracles(rho)
 
 
+def test_stranded_site_matches_oracles():
+    # Site (-1, 1) holds 4e-11 within the flux tolerance, but both of its
+    # destinations are empty: a violation for validate and synthesis alike.
+    rho = ProbabilitySequence([[1.0], [4e-11, 0.99999999996], [0.0, 0.0, 1.0],
+                               [0.0, 0.0, 0.5, 0.5]])
+    report = check_against_oracles(rho)
+    assert [(v.n, v.t) for v in report.violations] == [(-1, 1)]
+
+
+@pytest.mark.parametrize("plus, minus, site", [
+    ([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], "(n=0, t=0)"),
+    ([0.0, 0.6, 0.8], [0.0, 0.0, 0.0], "(n=-1, t=1)"),
+])
+def test_coin_faults_match_oracle(plus, minus, site):
+    # (0, 0) sends psi+ = 1 to psi- = -1 at (-1, 1), which needs an angle
+    # below 0; in the second field (-1, 1) also loses mass, which is named
+    # first, though it comes later.
+    w = lattice.WaveField([[1.0], [0.0, 0.0], plus],
+                          [[0.0], [-1.0, 0.0], minus])
+    got = outcome(synthesis.synthesize_coins, w)
+    assert got == outcome(oracles.synthesize_coins, w)
+    assert site in got[1]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_jump_family_matches_oracles_at_T300(seed):
     report = check_against_oracles(

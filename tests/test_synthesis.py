@@ -99,6 +99,21 @@ def test_inconsistent_coin_error_prints_a_plain_float():
         "wave field inconsistent")
 
 
+def test_coin_outside_zero_to_pi_is_an_error():
+    # Site (0, 0) keeps its mass, but sends psi+ = 1 to psi- = -1 at
+    # (-1, 1): rho sin theta = -1, and theta = -pi/2 clamped to 0 would send
+    # it to (1, 1) instead.  A sine part within EDGE_CLAMP of 0 is rounding,
+    # and rounds up to 0.
+    def field(minus):
+        return WaveField([[1.0], [0.0, math.sqrt(1.0 - minus**2)]],
+                         [[0.0], [minus, 0.0]])
+    with pytest.raises(IntegrityError) as err:
+        synthesize_coins(field(-1.0))
+    assert str(err.value) == ("coin at (n=0, t=0) has rho sin theta = -1.0 "
+                              "< 0; wave field inconsistent")
+    assert synthesize_coins(field(-1e-11)).value(0, 0) == 0.0
+
+
 def test_subnormal_sites_use_an_absolute_tolerance():
     # Site (-1, 1) holds mass 1e-320, its successor 1.21e-320: relatively
     # far apart, but both below the smallest normal, where the tolerance is
