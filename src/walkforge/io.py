@@ -70,7 +70,7 @@ def _flat_sites(t, n) -> tuple[np.ndarray, np.ndarray]:
     flat = slice_offset(t) + (n + t) // 2
     repeated = np.ones(len(flat), dtype=bool)
     repeated[np.unique(flat, return_index=True)[1]] = False
-    return flat, (t < 0) | (np.abs(n) > t) | ((n + t) % 2 != 0) | repeated
+    return flat, (t < 0) | (n > t) | (n < -t) | ((n + t) % 2 != 0) | repeated
 
 
 def _int64(text) -> int:

@@ -33,7 +33,7 @@ from .lattice import (
 COIN_NORM_TOL = 1e-8
 
 # Jump probabilities within this distance of [0, 1] are clamped onto it, and
-# a coin's rho sin theta within this much of rho below 0 is rounded to 0.
+# a coin's rho sin theta within this much of rho below 0 is rounded to +0.0.
 EDGE_CLAMP = 1e-10
 
 
@@ -58,7 +58,8 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
 
 def synthesize_coins(w: WaveField) -> CoinSchedule:
     """Coin angles theta(n, t) in [0, pi] that evolve w from slice t to t + 1:
-    atan2 of the undivided products psi- psi+' + psi+ psi-' = rho sin theta
+    atan2 of the undivided products psi- psi+' + psi+ psi-' = rho sin theta,
+    as +0.0 where not positive (-0.0 too: a zero's sign never moves a coin),
     and psi+ psi+' - psi- psi-' = rho cos theta, where psi+' = psi+(n+1, t+1)
     and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
     keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
@@ -87,8 +88,8 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
         i, n, t = _first_fault(bad)
         raise IntegrityError(f"coin at (n={n}, t={t}) has rho sin theta = "
                              f"{float(s[i])!r} < 0; wave field inconsistent")
-    s[s < 0.0] = 0.0
-    theta = np.clip(np.arctan2(s, c, out=c), 0.0, math.pi, out=c)
+    s[s <= 0.0] = 0.0  # -0.0 too: atan2 then lies in [0, pi]
+    theta = np.arctan2(s, c, out=c)
     theta[~defined] = math.nan
     return CoinSchedule(theta)
 
@@ -100,16 +101,15 @@ def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     out, which only mimicry can produce, raises :class:`InfeasibleTargetError`
     naming the first such site.
     """
-    mask = rho > 0.0
     p = np.full(len(rho), math.nan)
-    p[mask] = num[mask] / rho[mask]
+    np.divide(num, rho, out=p, where=rho > 0.0)
     bad = (p < -EDGE_CLAMP) | (p > 1.0 + EDGE_CLAMP)
     if bad.any():
         i, n, t = _first_fault(bad)
         raise InfeasibleTargetError(
             f"jump probability {float(p[i])!r} at (n={n}, t={t}) outside "
             "[0, 1]", n=n, t=t)
-    return JumpSchedule(np.clip(p, 0.0, 1.0))
+    return JumpSchedule(np.clip(p, 0.0, 1.0, out=p))
 
 
 def synthesize_jumps(rho: ProbabilitySequence) -> JumpSchedule:

@@ -300,11 +300,12 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     rho cos theta = psi+(n,t) psi+(n+1,t+1) - psi-(n,t) psi-(n-1,t+1),
     rho sin theta = psi-(n,t) psi+(n+1,t+1) + psi+(n,t) psi-(n-1,t+1),
     with rho = psi+^2 + psi-^2 at (n, t); theta is the two-argument
-    arctangent of the undivided products, clamped to [0, pi].  Sites where
-    psi+ and psi- both vanish are undefined, and must pass on no mass.
-    Once every site keeps its mass, the first defined site whose
-    rho sin theta lies below -EDGE_CLAMP rho, which no angle in [0, pi]
-    can give, is an error; above that a negative one is taken as 0.
+    arctangent of the undivided products.  Sites where psi+ and psi- both
+    vanish are undefined, and must pass on no mass.  Once every site keeps
+    its mass, the first defined site whose rho sin theta lies below
+    -EDGE_CLAMP rho, which no angle in [0, pi] can give, is an error; above
+    that one that is not positive, -0.0 included, is taken as +0.0, so
+    theta lies in [0, pi].
     """
     tiny = np.finfo(float).tiny
     angles = []
@@ -334,10 +335,9 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
                     f"coin at (n={from_storage_index(k, t)}, t={t}) has "
                     f"rho sin theta = {float(s)!r} < 0; wave field "
                     "inconsistent")
-            if s < 0.0:
+            if s <= 0.0:
                 s = 0.0
-            th = math.atan2(s, c)
-            theta[k] = min(max(th, 0.0), math.pi)
+            theta[k] = math.atan2(s, c)
         angles.append(theta)
     if fault is not None:
         raise fault

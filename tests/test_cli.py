@@ -619,6 +619,10 @@ CONTRACT = [
     (["hadamard", "--theta", "0.7", "-T", "10000000"], "Unable to allocate"),
     (["validate", "--target", "file:{tmp}/sparse.csv"],
      "sparse.csv: slice t=1 has no rows"),
+    # -n overflows for n = -2**63, so the light cone is tested without it.
+    (["validate", "--target", "file:{tmp}/far-left.csv"],
+     "far-left.csv: row 3: site (n=-9223372036854775808, t=0) outside the "
+     "light cone |n| <= t"),
     # Flags that do not apply are refused, from argv or from --config.
     (["validate", "--target", "file:{tmp}/field.json", "-T", "2"],
      "horizon 2 does not match"),
@@ -701,6 +705,8 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "overflow.csv").write_text(
         "t,n,value\n0,0,1\n1,-1,1e308\n1,1,1e308\n")
     (tmp_path / "sparse.csv").write_text("t,n,value\n0,0,1\n10000000,0,1\n")
+    (tmp_path / "far-left.csv").write_text(
+        f"t,n,value\n0,0,1.0\n0,{-2 ** 63},0.0\n")
     (tmp_path / "latin1.csv").write_bytes(b"t,n,value\n0,0,1.0\xff\n")
     (tmp_path / "latin1.json").write_bytes(b'{"horizon": 0, "slices": []}\xff')
     (tmp_path / "latin1.cfg").write_bytes(b"\xff\xfe=1")

@@ -150,6 +150,19 @@ def test_coin_faults_match_oracle(plus, minus, site):
     assert site in got[1]
 
 
+@pytest.mark.parametrize("plus, minus, theta", [
+    ([[-0.0], [0.0, -0.0]], [[1.0], [1.0, 0.0]], math.pi),
+    ([[1.0], [0.0, 1.0]], [[-0.0], [-0.0, 0.0]], 0.0),
+])
+def test_signed_zero_fields_match_oracle_bit_for_bit(plus, minus, theta):
+    # rho sin theta = -0.0 at (0, 0), with rho cos theta = -1 and then 1:
+    # both atan2s give exactly pi and +0.0, so the angles agree in every bit.
+    w = lattice.WaveField(plus, minus)
+    got = synthesis.synthesize_coins(w).buf.tobytes()
+    assert got == oracles.synthesize_coins(w).buf.tobytes()
+    assert got == np.array([theta]).tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_jump_family_matches_oracles_at_T300(seed):
     report = check_against_oracles(

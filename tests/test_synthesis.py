@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import random_jump_target
 from walkforge.evolve import (
@@ -11,6 +12,7 @@ from walkforge.evolve import (
     evolve_rw_exact,
 )
 from walkforge.feasibility import validate_sequence
+from walkforge.io import write_schedule_json
 from walkforge.lattice import (
     InfeasibleTargetError,
     IntegrityError,
@@ -112,6 +114,61 @@ def test_coin_outside_zero_to_pi_is_an_error():
     assert str(err.value) == ("coin at (n=0, t=0) has rho sin theta = -1.0 "
                               "< 0; wave field inconsistent")
     assert synthesize_coins(field(-1e-11)).value(0, 0) == 0.0
+
+
+def test_negative_zero_sine_part_gives_a_needed_pi():
+    # At (0, 0) rho cos theta = -1 and rho sin theta = -0.0 + -0.0 = -0.0;
+    # atan2 of that is -pi, not the pi that sends psi- = 1 on as +1.
+    w = WaveField([[-0.0], [0.0, -0.0]], [[1.0], [1.0, 0.0]])
+    coins = synthesize_coins(w)
+    assert coins.value(0, 0) == math.pi
+    assert evolve_qw(coins, (-0.0, 1.0)).minus_slices[1][0] == \
+        pytest.approx(1.0, abs=1e-15)
+
+
+def test_negative_zero_sine_part_stores_a_positive_zero(tmp_path):
+    # rho cos theta = 1 and rho sin theta = -0.0: the angle is +0.0, which a
+    # schedule file writes as 0.0.
+    w = WaveField([[1.0], [0.0, 1.0]], [[-0.0], [-0.0, 0.0]])
+    theta = synthesize_coins(w)
+    assert math.copysign(1.0, theta.value(0, 0)) == 1.0
+    write_schedule_json(theta, tmp_path / "coins.json")
+    assert "-0.0" not in (tmp_path / "coins.json").read_text()
+
+
+def exact_walk(init, cos, zero_signs):
+    """The real walk from ``init`` under coins with sin theta = 0 exactly
+    and cos theta = ``cos[t]`` at slice t (t + 1 values of +-1), each zero
+    amplitude then given the sign that ``zero_signs(count)`` draws for it."""
+    plus, minus = [np.array([init[0]])], [np.array([init[1]])]
+    for t in range(len(cos)):
+        new_p, new_m = np.zeros(t + 2), np.zeros(t + 2)
+        new_p[1:] = cos[t] * plus[-1]
+        new_m[:-1] = -cos[t] * minus[-1]
+        plus.append(new_p)
+        minus.append(new_m)
+    for x in plus + minus:
+        zero = x == 0.0
+        x[zero] = np.copysign(0.0, zero_signs(int(zero.sum())))
+    return WaveField(plus, minus)
+
+
+@given(st.integers(1, 6),
+       st.one_of(st.floats(-math.pi, math.pi).map(
+                     lambda phi: (math.cos(phi), math.sin(phi))),
+                 st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                                  (0.0, -1.0)])),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_exact_zero_and_pi_walks_with_signed_zeros_round_trip(horizon, init,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    cos = [rng.choice([-1.0, 1.0], t + 1) for t in range(horizon)]
+    w = exact_walk(init, cos, lambda k: rng.choice([-1.0, 1.0], k))
+    back = evolve_qw(synthesize_coins(w),
+                     (w.plus_slices[0][0], w.minus_slices[0][0]))
+    assert np.max(np.abs(back.plus_buf - w.plus_buf)) <= 1e-15
+    assert np.max(np.abs(back.minus_buf - w.minus_buf)) <= 1e-15
 
 
 def test_subnormal_sites_use_an_absolute_tolerance():
