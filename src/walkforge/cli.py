@@ -6,8 +6,10 @@ tools.  Exit codes: 0 success or pass, 1 quantitative check failed,
 2 input or feasibility error.
 
 All flags have config-file equivalents: ``--config`` names a key=value
-file (one pair per line, ``#`` comments allowed) whose keys match the long
-flag names with dashes or underscores; explicit flags override file values.
+file (one pair per line, ``#`` comments allowed).  Keys are long flag
+names, with dashes or underscores, plus ``route`` for ``hadamard``; each
+value is read and checked as its flag would be, and an error names the
+file.  Explicit flags win, route flags included.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ EXIT_INPUT = 2
 
 ROUNDTRIP_TOL = 1e-10
 
+ROUTES = ("closed-form", "recursion", "asymptotic")
+
 # Quasi-symmetric initial state: eta = 3 pi / 8 gives
 # (sqrt(2 - sqrt 2) / 2, sqrt(2 + sqrt 2) / 2); gamma = 0 keeps it real.
 FIG1_PARAMS = HomogeneousCoinParams(theta=math.pi / 4, eta=3 * math.pi / 8,
@@ -77,7 +81,9 @@ def _emit_field(field, args) -> None:
 
 
 def _print_json(doc, fh=None) -> None:
-    (fh or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+    fh = fh or sys.stdout
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
 
 
 def _require(args, *names) -> None:
@@ -294,13 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--chi", type=float, default=0.0)
     route = p.add_mutually_exclusive_group()
-    route.add_argument("--closed-form", dest="route", action="store_const",
-                       const="closed-form")
-    route.add_argument("--recursion", dest="route", action="store_const",
-                       const="recursion")
-    route.add_argument("--asymptotic", dest="route", action="store_const",
-                       const="asymptotic")
-    p.set_defaults(route="recursion", func=cmd_hadamard)
+    for name in ROUTES:
+        route.add_argument("--" + name, dest="route", action="store_const",
+                           const=name)
+    p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("roundtrip",
                        help="synthesize, evolve, and compare against the target")
@@ -337,32 +340,27 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _parse_args(parser, argv):
-    """Parse ``argv``; with ``--config``, parse it again with the file's
-    values as the subcommand's defaults, so argparse converts them with each
-    flag's type and explicit flags win."""
+    """Parse ``argv``; with ``--config``, parse again with the file's pairs
+    as ``--key=value`` flags (``route = r`` as ``--r``) put after the
+    subcommand and before argv's own flags, which thus win."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     config = _load_config(args.config)
-    subparser = next(a for a in parser._actions if isinstance(
-        a, argparse._SubParsersAction)).choices[args.command]
-    unknown = set(config) - {a.dest for a in subparser._actions}
+    unknown = set(config) - set(vars(args)).difference({"command", "func"})
     if unknown:
         raise WalkError(f"unknown config keys: {sorted(unknown)}")
-    subparser.set_defaults(**config)
-    args = parser.parse_args(argv)
-    # Argparse checks the values of explicit flags only: a flag's choices,
-    # or the consts of the flags that store into its dest.
-    consts = [a for a in subparser._actions
-              if isinstance(a, argparse._StoreConstAction)]
-    for action in subparser._actions:
-        values = action.choices or tuple(
-            a.const for a in consts if a.dest == action.dest)
-        if values and action.dest in config and \
-                getattr(args, action.dest) not in values:
-            raise WalkError(f"config value {action.dest}="
-                            f"{config[action.dest]!r} not in {values}")
-    return args
+    route = config.pop("route", None)
+    if route is not None and route not in ROUTES:
+        raise WalkError(f"config value route={route!r} not in {ROUTES}")
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in config.items()]
+    if route is not None and args.route is None:
+        flags.append("--" + route)
+    try:
+        return parser.parse_args(argv[:1] + flags + argv[1:])
+    except WalkError as exc:
+        raise WalkError(f"{args.config}: {exc}") from None
 
 
 def main(argv=None) -> int:

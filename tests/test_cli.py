@@ -14,6 +14,7 @@ from oracles import random_jump_target
 from walkforge import cli, evolve, io
 from walkforge.cli import main
 from walkforge.evolve import evolve_rw_exact
+from walkforge.feasibility import validate_sequence
 from walkforge.lattice import (CoinSchedule, JumpSchedule,
                                ProbabilitySequence, slice_offset)
 from walkforge.targets import binomial_target
@@ -517,11 +518,56 @@ def test_explicit_flag_beats_config_in_every_spelling(capsys, tmp_path, flag):
     assert json.loads(out)["horizon"] == 5
 
 
+@pytest.mark.parametrize("flag", cli.ROUTES)
+@pytest.mark.parametrize("route", cli.ROUTES)
+def test_explicit_route_flag_beats_config_route(capsys, tmp_path, route,
+                                                flag):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"route = {route}\n")
+    argv = ["hadamard", "--theta", "0.7", "-T", "30"]
+    _, by_flag, _ = run(capsys, *argv, f"--{route}")
+    assert run(capsys, *argv, "--config", str(cfg)) == (0, by_flag, "")
+    _, explicit, _ = run(capsys, *argv, f"--{flag}")
+    assert run(capsys, *argv, "--config", str(cfg), f"--{flag}") == \
+        (0, explicit, "")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["evolve", "--schedule", "{tmp}/coins.json"], "init", "-0.6,0.8"),
+    (["hadamard", "--theta", "0.7", "-T", "5"], "eta", "-0.5"),
+])
+def test_config_values_that_look_like_flags_are_values(capsys, tmp_path,
+                                                       argv, key, value):
+    run(capsys, "synth", "--target", "uniform", "-T", "4", "--walk", "qw",
+        "--out", str(tmp_path / "coins.json"))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    _, expected, _ = run(capsys, *argv, f"--{key}={value}")
+    assert expected != run(capsys, *argv)[1]
+    assert run(capsys, *argv, "--config", str(cfg)) == (0, expected, "")
+
+
+def test_validate_prints_the_report_as_indented_json(capsys, tmp_path):
+    rho = ProbabilitySequence([[1.0], [1.0, 0.0], [0.5, 0.5, 0.0],
+                               [0.05, 0.05, 0.9, 0.0]])
+    doc = {**validate_sequence(rho).to_dict(),
+           "schema_version": io.SCHEMA_VERSION}
+    assert all(doc[k] for k in ("violations", "boundary_sites",
+                                "undefined_sites"))
+    path = tmp_path / "rho.json"
+    io.write_field_json(rho, path)
+    code, out, _ = run(capsys, "validate", "--target", f"file:{path}")
+    assert code == 1
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 # Each subcommand with malformed input: (argv, text the error must contain).
 # "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
 # field.json (a target with T = 3), v1.json (a schema 1 schedule), a plain
 # file, bogus.cfg, badint.cfg, route.cfg, horizon.cfg (T = 2), init.cfg,
-# noeq.cfg (a line without "="), spin.json (a schedule of unknown kind),
+# walk.cfg, help.cfg, hor.cfg (a prefix of horizon), noeq.cfg (a line
+# without "="), spin.json (a schedule of unknown kind),
 # overflow.csv (a slice whose sum overflows) and, for each bad
 # slice-table horizon h in HORIZONS, field-h.json and jump-h.json, holding
 # the slices int(h) would call for; missing* names nothing.
@@ -593,6 +639,19 @@ CONTRACT = [
     (["hadamard", "--theta", "0.7", "-T", "3", "--config", "{tmp}/route.cfg"],
      "config value route='closedform' not in "
      "('closed-form', 'recursion', 'asymptotic')"),
+    # Config values are read and checked as flags are, explicit flags or not.
+    (["roundtrip", "--target", "uniform", "-T", "3", "--config",
+      "{tmp}/walk.cfg"], "walk.cfg: walkforge roundtrip: argument --walk: "
+     "invalid choice: 'x' (choose from 'qw', 'rw')"),
+    (["validate", "--target", "uniform", "-T", "3", "--config",
+      "{tmp}/badint.cfg"], "badint.cfg: walkforge validate: "
+     "argument -T/--horizon: invalid int value: 'x'"),
+    (["hadamard", "--theta", "0.7", "-T", "3", "--recursion", "--config",
+      "{tmp}/route.cfg"], "config value route='closedform' not in "),
+    (["validate", "--target", "uniform", "-T", "3", "--config",
+      "{tmp}/help.cfg"], "unknown config keys: ['help']"),
+    (["validate", "--target", "uniform", "--config", "{tmp}/hor.cfg"],
+     "unknown config keys: ['hor']"),
     (["validate", "--target", "file:{tmp}/field-1e400.json"],
      "horizon must be a JSON integer >= 0, got Infinity"),
     (["evolve", "--schedule", "{tmp}/jump-1e400.json"],
@@ -690,6 +749,9 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
     (tmp_path / "route.cfg").write_text("route = closedform\n")
     (tmp_path / "horizon.cfg").write_text("horizon = 2\n")
     (tmp_path / "init.cfg").write_text("init = 1,0\n")
+    (tmp_path / "walk.cfg").write_text("walk = x\n")
+    (tmp_path / "help.cfg").write_text("help = 1\n")
+    (tmp_path / "hor.cfg").write_text("hor = 3\n")
     (tmp_path / "noeq.cfg").write_text("horizon 3\n")
     (tmp_path / "spin.json").write_text(json.dumps({
         "schema_version": 2, "horizon": 1, "kind": "spin",
