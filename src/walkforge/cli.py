@@ -15,6 +15,8 @@ file.  Explicit flags win, route flags included.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -37,6 +39,7 @@ from .feasibility import validate_sequence
 from .lattice import (
     CoinSchedule,
     ProbabilitySequence,
+    ROUNDTRIP_TOL,
     WalkError,
     flat_sites,
     probability_from_wavefield,
@@ -53,8 +56,6 @@ from .targets import target_from_spec
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-ROUNDTRIP_TOL = 1e-10
 
 ROUTES = ("closed-form", "recursion", "asymptotic")
 
@@ -82,7 +83,10 @@ def _emit_field(field, args) -> None:
 
 def _print_json(doc, fh=None) -> None:
     fh = fh or sys.stdout
-    json.dump(doc, fh, indent=2)
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    # 4096 chunks a write: to an unbuffered stream, each is a system call.
+    while batch := list(itertools.islice(chunks, 4096)):
+        fh.write("".join(batch))
     fh.write("\n")
 
 
@@ -239,6 +243,7 @@ class _Parser(argparse.ArgumentParser):
         raise WalkError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="walkforge",

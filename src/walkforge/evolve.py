@@ -41,10 +41,6 @@ from .lattice import (
     split_slices,
 )
 
-# Mass (psi+^2 + psi-^2, rho or a Monte Carlo count) up to this may reach
-# an undefined schedule site: such sites carry zero measure by construction.
-DEAD_MASS = 1e-12
-
 # Trajectories per Monte Carlo block: it bounds memory, not the sample.
 _MC_BLOCK = 2048
 
@@ -136,8 +132,8 @@ def _schedule_steps(schedule, steps: int | None) -> int:
 
 def _check_coverage(schedule, mass: np.ndarray, what: str) -> None:
     """Raise :class:`CoverageError` at the earliest, then leftmost, site
-    where ``schedule`` is undefined and ``mass`` exceeds DEAD_MASS."""
-    bad = (mass > DEAD_MASS) & np.isnan(schedule.buf[:len(mass)])
+    where ``schedule`` is undefined and ``mass`` exceeds NORM_TOL."""
+    bad = (mass > NORM_TOL) & np.isnan(schedule.buf[:len(mass)])
     if bad.any():
         _, n, t = _first_fault(bad)
         raise CoverageError(f"{what} (n={n}, t={t})")
@@ -152,7 +148,7 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
 
     ``init`` must have norm 1 within NORM_TOL, else :class:`WalkError`.  An
     undefined coin steps as theta = 0, which keeps the mass; after the
-    field's own checks, a mass above DEAD_MASS there is a CoverageError.
+    field's own checks, a mass above NORM_TOL there is a CoverageError.
     """
     steps = _schedule_steps(schedule, steps)
     a, b = float(init[0]), float(init[1])
@@ -301,7 +297,7 @@ def evolve_rw_exact(schedule: JumpSchedule,
     rho(n, t) = p(n-1, t-1) rho(n-1, t-1) + [1 - p(n+1, t-1)] rho(n+1, t-1).
     An undefined jump probability steps as p = 0, so dead mass there moves
     to (n - 1, t + 1) and each slice keeps summing to one; a mass above
-    DEAD_MASS there raises :class:`CoverageError`.
+    NORM_TOL there raises :class:`CoverageError`.
     """
     steps = _schedule_steps(schedule, steps)
     rho = np.zeros(slice_offset(steps + 1))

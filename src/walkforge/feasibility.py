@@ -4,7 +4,7 @@ Conservation splits the mass of each site in two: a(n, t) = (rho + J) / 2
 passes right and b(n, t) = (rho - J) / 2 left, J = a - b the flux.  Partial
 sums of two consecutive slices fix both, so a sequence is realisable by
 some walk (quantum or classical) exactly when a, b >= 0, i.e. |J| <= rho.
-One gate, :func:`_flux_bound`, judges the split at DEFAULT_TOL for the
+One gate, :func:`_flux_bound`, judges the split at ROUNDTRIP_TOL for the
 feasibility report, the wave field and the jump probabilities alike.
 """
 
@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (FluxField, InfeasibleTargetError, ProbabilitySequence,
-                      _blocks, flat_sites, neighbours, prefix_sums,
-                      slice_offset, suffix_sums)
-
-DEFAULT_TOL = 1e-10
+                      ROUNDTRIP_TOL, _blocks, flat_sites, neighbours,
+                      prefix_sums, slice_offset, suffix_sums)
 
 
 def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +88,7 @@ def _sites(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def _flux_bound(rho: ProbabilitySequence):
-    """The one test of the flux bound |J| <= rho + DEFAULT_TOL, additive
+    """The one test of the flux bound |J| <= rho + ROUNDTRIP_TOL, additive
     because rho can be exactly zero inside the cone: the split (a, b) and
     the mask of the sites that fail it.  Where the bound holds, in place, a
     split outside its interval gets a clipped into it and b = rho - a.  The
@@ -100,7 +98,7 @@ def _flux_bound(rho: ProbabilitySequence):
     rs = rho.buf[:len(right)]
     aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
     # Where rho = 0, rho + tol is exactly tol.
-    violated = aj > rs + DEFAULT_TOL
+    violated = aj > rs + ROUNDTRIP_TOL
     to_right, to_left = (neighbours(rho.buf != 0.0, dn) for dn in (1, -1))
     narrowed = (rs != 0.0) & ~(to_right & to_left)
     violated |= narrowed & ~(to_right | to_left)
@@ -135,7 +133,7 @@ def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
     undefined = zero & ~violated
     js = right[violated] - left[violated]
     twice_min = 2.0 * np.minimum(right, left, out=right)
-    boundary = ~zero & ~violated & (twice_min <= DEFAULT_TOL * rs)
+    boundary = ~zero & ~violated & (twice_min <= ROUNDTRIP_TOL * rs)
     violations = tuple(
         Violation(n, t, j, r) for (n, t), j, r in
         zip(_sites(violated), js.tolist(), rs[violated].tolist()))

@@ -33,12 +33,15 @@ from functools import cached_property
 
 import numpy as np
 
-# Negative values in [-NEG_CLAMP, 0) are treated as floating-point
-# cancellation noise and clamped to zero; anything below is an error.
-NEG_CLAMP = 1e-12
-
-# Default per-slice normalisation tolerance.
+# The noise floor: slice totals are held to 1 within it, so less mass is
+# rounding, whether a negative entry (clamped to zero) or dead mass at an
+# undefined schedule site (evolve._check_coverage).
 NORM_TOL = 1e-12
+
+# The accuracy ``roundtrip`` promises.  The flux gate may clip only what it
+# tolerates, and the boundary rule (2 min(a, b) <= tol rho) and synthesis's
+# edge windows judge "within tol of an edge, relative to rho" at it too.
+ROUNDTRIP_TOL = 1e-10
 
 
 class WalkError(Exception):
@@ -331,18 +334,19 @@ class ProbabilitySequence(_SliceData):
     Each slice is non-negative and sums to one (within NORM_TOL, or within
     1e-9 and then divided by its total with ``renormalize``); values at
     parity-violating or out-of-cone sites are implicitly zero, never stored.
+    A writable 1-D float array is clamped and divided in place, not copied.
     """
 
     def __init__(self, slices, *, renormalize: bool = False, _norm=None):
         buf = _buffer(slices, "ProbabilitySequence", min_slices=1)
-        if (buf < -NEG_CLAMP).any():
-            i, n, t = _first_fault(buf < -NEG_CLAMP)
+        if (negative := buf < -NORM_TOL).any():
+            i, n, t = _first_fault(negative)
             raise InfeasibleTargetError(
                 f"negative probability {buf[i]:.3e} at (n={n}, t={t})",
                 n=n, t=t)
         buf = np.clip(buf, 0.0, None, out=buf if buf.flags.writeable else None)
         # Each slice's exactly rounded total, or a wave field's ``_norm``, is
-        # its divisor too: it fixes the bits of the result (x / 1.0 is x).
+        # its divisor too, fixing the result's bits; slices within 1e-15 stay.
         totals = _totals(buf) if _norm is None else _norm
         accept_tol = 1e-9 if renormalize else NORM_TOL
         drift = np.abs(totals - 1.0)  # NaN, from a NaN entry, passes here
@@ -352,8 +356,8 @@ class ProbabilitySequence(_SliceData):
                 f"slice t={t} sums to {float(totals[t])!r}, deviates from 1 "
                 f"by more than {accept_tol:g}")
         if renormalize:
-            divisors = np.where(drift > 1e-15, totals, 1.0)
-            buf = buf / np.repeat(divisors, np.arange(1, len(totals) + 1))
+            for t in np.flatnonzero(drift > 1e-15):
+                buf[slice_offset(t):slice_offset(t + 1)] /= totals[t]
         _check_finite(buf, "ProbabilitySequence")
         self._buf = buf
         self._slices = _freeze(buf)

@@ -23,6 +23,7 @@ from .lattice import (
     IntegrityError,
     JumpSchedule,
     ProbabilitySequence,
+    ROUNDTRIP_TOL,
     WaveField,
     _first_fault,
     neighbours,
@@ -31,10 +32,6 @@ from .lattice import (
 
 # Largest relative change of the local mass over one step of a wave field.
 COIN_NORM_TOL = 1e-8
-
-# Jump probabilities within this distance of [0, 1] are clamped onto it, and
-# a coin's rho sin theta within this much of rho below 0 is rounded to +0.0.
-EDGE_CLAMP = 1e-10
 
 
 def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
@@ -64,7 +61,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
     keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
     (absolute below the smallest normal; an undefined site passes on none),
-    and rho sin theta >= -EDGE_CLAMP rho, or IntegrityError names the site.
+    and rho sin theta >= -ROUNDTRIP_TOL rho, or IntegrityError names the site.
     """
     wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
     wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
@@ -83,7 +80,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
         raise IntegrityError(
             f"coin at (n={n}, t={t}) changes the local mass by "
             f"{float(drift[i])!r}; wave field inconsistent")
-    bad = defined & (s < -EDGE_CLAMP * scale)
+    bad = defined & (s < -ROUNDTRIP_TOL * scale)
     if bad.any():
         i, n, t = _first_fault(bad)
         raise IntegrityError(f"coin at (n={n}, t={t}) has rho sin theta = "
@@ -97,13 +94,13 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
 def _jump_schedule(num: np.ndarray, rho: np.ndarray) -> JumpSchedule:
     """p(n, t) = num / rho wherever rho > 0, undefined where rho = 0.
 
-    Values within EDGE_CLAMP of [0, 1] are clamped onto it; anything further
+    Values within ROUNDTRIP_TOL of [0, 1] are clamped onto it; anything further
     out, which only mimicry can produce, raises :class:`InfeasibleTargetError`
     naming the first such site.
     """
     p = np.full(len(rho), math.nan)
     np.divide(num, rho, out=p, where=rho > 0.0)
-    bad = (p < -EDGE_CLAMP) | (p > 1.0 + EDGE_CLAMP)
+    bad = (p < -ROUNDTRIP_TOL) | (p > 1.0 + ROUNDTRIP_TOL)
     if bad.any():
         i, n, t = _first_fault(bad)
         raise InfeasibleTargetError(

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from walkforge.feasibility import DEFAULT_TOL, FeasibilityReport, Violation
+from walkforge.feasibility import FeasibilityReport, Violation
 from walkforge.lattice import (
     CoinSchedule,
     FluxField,
@@ -22,10 +22,11 @@ from walkforge.lattice import (
     IntegrityError,
     JumpSchedule,
     ProbabilitySequence,
+    ROUNDTRIP_TOL,
     WaveField,
     from_storage_index,
 )
-from walkforge.synthesis import COIN_NORM_TOL, EDGE_CLAMP
+from walkforge.synthesis import COIN_NORM_TOL
 
 
 def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
@@ -203,7 +204,7 @@ def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
 
 
 def clamped_split(rho: ProbabilitySequence):
-    """The flux bound |J| <= rho + DEFAULT_TOL judged site by site on the
+    """The flux bound |J| <= rho + ROUNDTRIP_TOL judged site by site on the
     split: the violations, and a and b made feasible wherever the bound
     holds.  There a split outside the interval the site's destinations
     allow takes a clipped into it and b = rho - a.  The interval is
@@ -219,7 +220,7 @@ def clamped_split(rho: ProbabilitySequence):
             a, b, r = float(right[k]), float(left[k]), float(rs[k])
             lo = r if nxt[k] == 0.0 else 0.0
             hi = 0.0 if nxt[k + 1] == 0.0 else r
-            if abs(a - b) > r + DEFAULT_TOL or lo > hi:
+            if abs(a - b) > r + ROUNDTRIP_TOL or lo > hi:
                 violations.append(Violation(from_storage_index(k, t), t,
                                             a - b, r))
                 continue
@@ -232,7 +233,7 @@ def clamped_split(rho: ProbabilitySequence):
 
 def feasible_split(rho: ProbabilitySequence):
     """The clamped split of a target that passes the flux bound at
-    DEFAULT_TOL; otherwise the error names the first five violated sites."""
+    ROUNDTRIP_TOL; otherwise the error names the first five violated sites."""
     rights, lefts, violations = clamped_split(rho)
     if violations:
         sites = ", ".join(f"(n={v.n}, t={v.t})" for v in violations[:5])
@@ -245,7 +246,7 @@ def feasible_split(rho: ProbabilitySequence):
 def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
     """Check the flux bound at every on-support site; infeasibility is a
     report outcome, not an error.  A feasible site with rho = 0 is
-    undefined, and one with 2 min(a, b) <= DEFAULT_TOL rho on the clamped
+    undefined, and one with 2 min(a, b) <= ROUNDTRIP_TOL rho on the clamped
     split is a boundary site."""
     rights, lefts, violations = clamped_split(rho)
     violated = {(v.n, v.t) for v in violations}
@@ -260,7 +261,8 @@ def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
                 continue
             if r == 0.0:
                 undefined.append((n, t))
-            elif 2.0 * min(float(right[k]), float(left[k])) <= DEFAULT_TOL * r:
+            elif (2.0 * min(float(right[k]), float(left[k]))
+                  <= ROUNDTRIP_TOL * r):
                 boundary.append((n, t))
     return FeasibilityReport(
         feasible=not violations,
@@ -303,9 +305,9 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     arctangent of the undivided products.  Sites where psi+ and psi- both
     vanish are undefined, and must pass on no mass.  Once every site keeps
     its mass, the first defined site whose rho sin theta lies below
-    -EDGE_CLAMP rho, which no angle in [0, pi] can give, is an error; above
-    that one that is not positive, -0.0 included, is taken as +0.0, so
-    theta lies in [0, pi].
+    -ROUNDTRIP_TOL rho, which no angle in [0, pi] can give, is an error;
+    above that one that is not positive, -0.0 included, is taken as +0.0,
+    so theta lies in [0, pi].
     """
     tiny = np.finfo(float).tiny
     angles = []
@@ -330,7 +332,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
                 continue
             c = wp[k] * wp_next[k + 1] - wm[k] * wm_next[k]
             s = wm[k] * wp_next[k + 1] + wp[k] * wm_next[k]
-            if s < -EDGE_CLAMP * scale and fault is None:
+            if s < -ROUNDTRIP_TOL * scale and fault is None:
                 fault = IntegrityError(
                     f"coin at (n={from_storage_index(k, t)}, t={t}) has "
                     f"rho sin theta = {float(s)!r} < 0; wave field "
@@ -347,7 +349,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
 
 def _jump_from_ratio(num: float, rho: float, n: int, t: int) -> float:
     p = num / rho
-    if p < -EDGE_CLAMP or p > 1.0 + EDGE_CLAMP:
+    if p < -ROUNDTRIP_TOL or p > 1.0 + ROUNDTRIP_TOL:
         raise InfeasibleTargetError(
             f"jump probability {float(p)!r} at (n={n}, t={t}) outside [0, 1]",
             n=n, t=t)

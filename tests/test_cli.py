@@ -562,6 +562,39 @@ def test_validate_prints_the_report_as_indented_json(capsys, tmp_path):
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
+class _CountingStream:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_print_json_writes_many_chunks_at_a_time():
+    # On an unbuffered stdout, every write is a system call.
+    doc = {"feasible": False,
+           "violations": [{"n": k, "t": k, "J": 0.5, "rho": 0.25}
+                          for k in range(4000)]}
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc))
+    assert chunks > 30_000
+    want = _CountingStream()
+    json.dump(doc, want, indent=2)
+    stream = _CountingStream()
+    cli._print_json(doc, stream)
+    assert "".join(stream.writes) == "".join(want.writes) + "\n"
+    assert len(stream.writes) <= chunks // 1000
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "validate", "--target", "uniform", "-T", "3")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 # Each subcommand with malformed input: (argv, text the error must contain).
 # "{tmp}" holds coins.json (a qw schedule), jumps.json (an rw schedule),
 # field.json (a target with T = 3), v1.json (a schema 1 schedule), a plain

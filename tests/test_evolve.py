@@ -10,7 +10,6 @@ import pytest
 from oracles import random_jump_target
 from walkforge import evolve, lattice
 from walkforge.evolve import (
-    DEAD_MASS,
     HomogeneousCoinParams,
     McConfig,
     asymptotic_density,
@@ -28,6 +27,7 @@ from walkforge.lattice import (
     CoinSchedule,
     CoverageError,
     JumpSchedule,
+    NORM_TOL,
     WalkError,
     probability_from_wavefield,
     site_positions,
@@ -343,7 +343,7 @@ def test_exact_rw_coverage_error(engine):
 
 def test_exact_rw_steps_dead_mass_left_at_undefined_site():
     rho = evolve_rw_exact(JumpSchedule([[1.0 - 1e-13], [math.nan, 0.5]]))
-    assert 0.0 < rho.value(-1, 1) <= DEAD_MASS
+    assert 0.0 < rho.value(-1, 1) <= NORM_TOL
     # p = 0 at (-1, 1), as a Monte Carlo walker there would step.
     assert rho.value(-2, 2) == rho.value(-1, 1)
 
@@ -363,7 +363,7 @@ def test_mimicry_pair_agrees_on_live_undefined_sites():
     # Rounding-level mass reaches undefined sites in the quantum walk; the
     # split sends none into an empty site, so the random walk's is 0 there.
     assert (qw_mass > 0.0).any() and (rw_mass == 0.0).all()
-    assert ((qw_mass > DEAD_MASS) == (rw_mass > DEAD_MASS)).all()
+    assert ((qw_mass > NORM_TOL) == (rw_mass > NORM_TOL)).all()
 
 
 def test_mc_is_deterministic():

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import random_jump_target
 from walkforge import feasibility
 from walkforge.evolve import evolve_qw, evolve_rw_exact
-from walkforge.feasibility import (DEFAULT_TOL, flux_from_rho,
-                                   flux_from_wavefield, validate_sequence)
+from walkforge.feasibility import (flux_from_rho, flux_from_wavefield,
+                                   validate_sequence)
 from walkforge.lattice import (InfeasibleTargetError, IntegrityError,
-                               ProbabilitySequence, from_storage_index,
-                               probability_from_wavefield)
+                               ProbabilitySequence, ROUNDTRIP_TOL,
+                               from_storage_index, probability_from_wavefield)
 from walkforge.synthesis import (COIN_NORM_TOL, reconstruct_wavefield,
                                  synthesize_coins, synthesize_jumps)
 from walkforge.targets import binomial_target, uniform_target
@@ -147,8 +147,8 @@ def _perturbed_jump_target(rng, horizon, small):
               random_jump_target(rng, horizon, p_edge=0.3).slices]
     for _ in range(rng.integers(1, 4)):
         x = slices[rng.integers(1, horizon + 1)]
-        delta = (DEFAULT_TOL / 4 * rng.random() if small
-                 else 4 * DEFAULT_TOL * 10 ** rng.uniform(0.0, 6.0))
+        delta = (ROUNDTRIP_TOL / 4 * rng.random() if small
+                 else 4 * ROUNDTRIP_TOL * 10 ** rng.uniform(0.0, 6.0))
         give = rng.choice(np.flatnonzero(x >= delta))
         take = rng.choice(np.flatnonzero(np.arange(len(x)) != give))
         x[give] -= delta

@@ -1,5 +1,8 @@
+import ast
 import math
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,26 @@ def test_probability_sequence_rejects_bad_normalisation():
 def test_probability_sequence_clamps_cancellation_noise():
     rho = ProbabilitySequence([[1.0], [1.0 + 5e-13, -5e-13]])
     assert rho.value(1, 1) == 0.0
+
+
+def test_renormalize_divides_a_writable_buffer_in_place():
+    buf = np.array([1.0, 0.25, 0.75 + 4e-10, 0.125, 0.5, 0.375])
+    want = buf.copy()
+    want[1:3] /= math.fsum(buf[1:3])
+    rho = ProbabilitySequence(buf, renormalize=True)
+    assert rho.buf is buf
+    assert buf.tobytes() == want.tobytes()
+
+
+def test_each_threshold_is_written_once():
+    # A float below 1e-3 in the sources is a threshold: each is written
+    # once and named wherever it judges, so no two can drift apart.
+    counts = Counter(
+        node.value for path in Path(lattice.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < node.value < 1e-3)
+    assert {value: n for value, n in counts.items() if n > 1} == {}
 
 
 def test_probability_sequence_rejects_real_negatives():

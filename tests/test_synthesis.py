@@ -104,8 +104,8 @@ def test_inconsistent_coin_error_prints_a_plain_float():
 def test_coin_outside_zero_to_pi_is_an_error():
     # Site (0, 0) keeps its mass, but sends psi+ = 1 to psi- = -1 at
     # (-1, 1): rho sin theta = -1, and theta = -pi/2 clamped to 0 would send
-    # it to (1, 1) instead.  A sine part within EDGE_CLAMP of 0 is rounding,
-    # and rounds up to 0.
+    # it to (1, 1) instead.  A sine part within ROUNDTRIP_TOL of 0 is
+    # rounding, and rounds up to 0.
     def field(minus):
         return WaveField([[1.0], [0.0, math.sqrt(1.0 - minus**2)]],
                          [[0.0], [minus, 0.0]])
