@@ -229,7 +229,7 @@ def cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{args.which}.csv"
     columns = (f.slices[t_plot].tolist() for f in (exact, rho_hat, stderr))
-    with open(out, "w") as fh:
+    with io.open_write(out) as fh:
         fh.write("n,exact,mc,stderr\n")
         for row in zip(site_positions(t_plot).tolist(), *columns):
             fh.write("%d,%r,%r,%r\n" % row)

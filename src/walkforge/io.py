@@ -69,6 +69,8 @@ def _flat_sites(t, n) -> tuple[np.ndarray, np.ndarray]:
     a site is off-support or a repeat of an earlier site."""
     flat = slice_offset(t) + (n + t) // 2
     repeated = np.ones(len(flat), dtype=bool)
+    # return_index keeps np.unique on its sort: without it numpy 2.4 hashes,
+    # 1.3-1.6 s against 17-21 ms for the sites of a T = 2000 file.
     repeated[np.unique(flat, return_index=True)[1]] = False
     return flat, (t < 0) | (n > t) | (n < -t) | ((n + t) % 2 != 0) | repeated
 

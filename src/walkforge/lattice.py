@@ -146,11 +146,11 @@ def neighbours(buf: np.ndarray, dn: int) -> np.ndarray:
     return np.delete(buf, first if dn > 0 else first + np.arange(len(first)))
 
 
-# A batched scan copies up to _BLOCK slices at a time, fewer where they
-# are wide: a block holds about _BLOCK_SIZE entries at most, so that it and
-# its temporaries stay in cache.  At T = 10^4, blocks of 16 whole slices made
-# _totals take 0.71-1.16 s, against 0.54-0.81 s with this budget; the
-# split of feasibility takes 2.9-3.6 s either way (2-core VM).
+# A batched scan copies up to _BLOCK slices at a time, fewer where they are
+# wide: a block holds about _BLOCK_SIZE entries at most.  At T = 10^4, blocks
+# of 16 whole slices made _totals take 0.71-1.16 s, against 0.54-0.81 s with
+# the budget (2-core VM); at T = 300 (0.35 MB), the budget alone made _totals
+# peak at 1.3 MB and the split at 3.5 MB, against 0.22 and 1.1 MB with _BLOCK.
 _BLOCK = 16
 _BLOCK_SIZE = 1 << 15
 

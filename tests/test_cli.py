@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -223,6 +224,25 @@ def test_roundtrip_at_horizon_ten_thousand(capsys):
                          "-T", "10000", "--walk", "rw")
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("target, schedule, report", [
+    ("uniform", "80d6d97ea2067ae7", "af043128e252ae58"),
+    ("binomial:0.3", "b6f19290c2130122", "ca55656a623ae1e2"),
+])
+def test_rw_outputs_at_T2000_keep_their_bytes(capsys, tmp_path, target,
+                                              schedule, report):
+    # SHA-256 prefixes of `synth --walk rw` and `validate`.  Both use only
+    # correctly rounded operations (cumsum, +, -, *, / and repr), so their
+    # bytes hold on any CPU; qw's arctan2, sin and cos may move a last bit.
+    path = tmp_path / "rw.json"
+    code, _, _ = run(capsys, "synth", "--target", target, "-T", "2000",
+                     "--walk", "rw", "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "validate", "--target", target, "-T", "2000")
+    assert code == 0
+    assert [hashlib.sha256(b).hexdigest()[:16]
+            for b in (path.read_bytes(), out.encode())] == [schedule, report]
 
 
 def test_exception_without_text_is_named(capsys, monkeypatch):

@@ -170,11 +170,16 @@ def test_random_jump_family_matches_oracles_at_T300(seed):
     assert report.feasible
 
 
-def test_narrow_scan_blocks_match_oracles(monkeypatch):
-    # Past T ~ 2000 a block holds fewer than 16 slices; with a smaller
-    # budget, blocks of 16, 3, 2 and 1 slices occur here.
-    monkeypatch.setattr(lattice, "_BLOCK_SIZE", 64)
+@pytest.mark.parametrize("rows, budget, blocks", [(16, 64, 66),
+                                                   (91, 91 * 91, 1)])
+def test_narrow_scan_blocks_match_oracles(monkeypatch, rows, budget, blocks):
+    # Block shape never moves a bit.  At 64 entries the split's blocks hold
+    # 16, 3, 2 and then 1 slice, each with one extra row; with 91 rows and
+    # 91^2 entries the whole target is one block.
+    monkeypatch.setattr(lattice, "_BLOCK", rows)
+    monkeypatch.setattr(lattice, "_BLOCK_SIZE", budget)
     rho = random_jump_target(np.random.default_rng(4), 90, p_edge=0.1)
+    assert len(list(lattice._blocks(rho.slices, extra=1))) == blocks
     check_against_oracles(rho)
     field = _complex_walk(90)
     assert lattice.probability_from_wavefield(field).buf.tobytes() == \
