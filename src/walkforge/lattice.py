@@ -38,9 +38,9 @@ import numpy as np
 # undefined schedule site (evolve._check_coverage).
 NORM_TOL = 1e-12
 
-# The accuracy ``roundtrip`` promises.  The flux gate may clip only what it
-# tolerates, and the boundary rule (2 min(a, b) <= tol rho) and synthesis's
-# edge windows judge "within tol of an edge, relative to rho" at it too.
+# The accuracy ``roundtrip`` promises: the flux gate clips at most tol, the
+# boundary rule (2 min(a, b) <= tol rho) and synthesis's edge windows judge
+# "within tol of an edge, relative to rho"; a coin step moves <= tol sqrt rho.
 ROUNDTRIP_TOL = 1e-10
 
 
@@ -146,11 +146,10 @@ def neighbours(buf: np.ndarray, dn: int) -> np.ndarray:
     return np.delete(buf, first if dn > 0 else first + np.arange(len(first)))
 
 
-# A batched scan copies up to _BLOCK slices at a time, fewer where they are
-# wide: a block holds about _BLOCK_SIZE entries at most.  At T = 10^4, blocks
-# of 16 whole slices made _totals take 0.71-1.16 s, against 0.54-0.81 s with
-# the budget (2-core VM); at T = 300 (0.35 MB), the budget alone made _totals
-# peak at 1.3 MB and the split at 3.5 MB, against 0.22 and 1.1 MB with _BLOCK.
+# A batched scan copies up to _BLOCK slices at a time, fewer where wide: a
+# block holds about _BLOCK_SIZE entries at most.  At T = 10^4 whole 16-slice
+# blocks made _totals take 0.71-1.16 s, 0.54-0.81 s with the budget (2-core
+# VM); at T = 300 the budget alone made the split peak at 3.5 MB, not 1.1.
 _BLOCK = 16
 _BLOCK_SIZE = 1 << 15
 
@@ -233,6 +232,7 @@ def _totals(buf: np.ndarray) -> np.ndarray:
             rows = slice(a, a + len(x))
             hi[rows], lo[rows] = s[:, -1], err.sum(axis=1)
             bound[rows] = np.abs(err, out=err).sum(axis=1)
+            del x, s, err  # before _blocks builds the next block
         # Summing the t step errors of slice t errs by at most about
         # (t - 1) 2**-53 times their summed magnitude; (t + 1) 2**-52 also
         # covers the rounding of the bound itself.

@@ -30,9 +30,6 @@ from .lattice import (
     slice_offset,
 )
 
-# Largest relative change of the local mass over one step of a wave field.
-COIN_NORM_TOL = 1e-8
-
 
 def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     """Recover the non-negative real components psi+-(n, t) realising rho.
@@ -58,10 +55,10 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     atan2 of the undivided products psi- psi+' + psi+ psi-' = rho sin theta,
     as +0.0 where not positive (-0.0 too: a zero's sign never moves a coin),
     and psi+ psi+' - psi- psi-' = rho cos theta, where psi+' = psi+(n+1, t+1)
-    and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step must
-    keep the local mass rho = psi+^2 + psi-^2 within COIN_NORM_TOL, relative
-    (absolute below the smallest normal; an undefined site passes on none),
-    and rho sin theta >= -ROUNDTRIP_TOL rho, or IntegrityError names the site.
+    and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step may
+    move at most tol sqrt(max(rho, tiny)) of the local mass rho = psi+^2 +
+    psi-^2 (an undefined site none; tol = ROUNDTRIP_TOL, tiny the smallest
+    normal) and needs rho sin theta >= -tol rho, or IntegrityError names it.
     """
     wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
     wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
@@ -74,7 +71,9 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     np.abs(np.subtract(drift, mass, out=drift), out=drift)
     scale = np.maximum(mass, np.finfo(float).tiny, out=mass)
     defined = (wp != 0.0) | (wm != 0.0)
-    bad = drift > COIN_NORM_TOL * scale
+    # A mass defect delta is an amplitude error of about delta / (2 sqrt rho),
+    # which interference (amplitudes <= 1) makes <= delta / sqrt rho of mass.
+    bad = drift > ROUNDTRIP_TOL * np.sqrt(scale)
     if bad.any():
         i, n, t = _first_fault(bad)
         raise IntegrityError(

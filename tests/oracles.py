@@ -26,7 +26,6 @@ from walkforge.lattice import (
     WaveField,
     from_storage_index,
 )
-from walkforge.synthesis import COIN_NORM_TOL
 
 
 def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
@@ -323,7 +322,7 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
             after = wp_next[k + 1] * wp_next[k + 1] + wm_next[k] * wm_next[k]
             drift = abs(after - mass)
             scale = max(mass, tiny)
-            if drift > COIN_NORM_TOL * scale:
+            if drift > ROUNDTRIP_TOL * math.sqrt(scale):
                 raise IntegrityError(
                     f"coin at (n={from_storage_index(k, t)}, t={t}) changes "
                     f"the local mass by {float(drift)!r}; wave field "

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import random_jump_target
-from walkforge import feasibility
 from walkforge.evolve import evolve_qw, evolve_rw_exact
 from walkforge.feasibility import (flux_from_rho, flux_from_wavefield,
                                    validate_sequence)
 from walkforge.lattice import (InfeasibleTargetError, IntegrityError,
                                ProbabilitySequence, ROUNDTRIP_TOL,
                                from_storage_index, probability_from_wavefield)
-from walkforge.synthesis import (COIN_NORM_TOL, reconstruct_wavefield,
-                                 synthesize_coins, synthesize_jumps)
+from walkforge.synthesis import (reconstruct_wavefield, synthesize_coins,
+                                 synthesize_jumps)
 from walkforge.targets import binomial_target, uniform_target
 
 
@@ -161,6 +160,11 @@ def _max_error(evolved, rho):
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(2, 14))
+# Clamped targets whose qw round trip misses 1e-10, by up to 2.1e-10, when a
+# coin step may move 1e-8 of the local mass.
+@example(1181, True, 13)
+@example(1297, True, 12)
+@example(2302105, True, 7)
 @settings(max_examples=150, deadline=None)
 def test_validate_and_synthesis_agree_on_perturbed_targets(seed, small,
                                                            horizon):
@@ -180,20 +184,10 @@ def test_validate_and_synthesis_agree_on_perturbed_targets(seed, small,
         assert [(exc.n, exc.t)] == first
     except IntegrityError:
         # qw is stricter than the flux tolerance: a clamped mass delta is an
-        # amplitude of about sqrt(delta), so the wave field's norm or a coin
-        # step's mass drift may exceed its own tolerance.
+        # amplitude of about sqrt(delta), so the wave field's norm may exceed
+        # NORM_TOL, or a coin step's mass drift ROUNDTRIP_TOL sqrt(rho).
         assert report.feasible
     else:
         assert report.feasible
-        # A known limit: where the gate clamped the split, a mass defect
-        # delta at a site of mass m is an amplitude error of about
-        # delta / (2 sqrt m), which interference downstream can raise to
-        # delta sqrt(M / m) in mass (1.24e-10 in one example).  The coin
-        # check bounds the drift of each step by COIN_NORM_TOL relative, so
-        # that is the bound there; without a clamp it is 1e-10.
-        a, b = feasibility._split(rho)
-        clamped = ((np.minimum(a, b) < 0.0)
-                   | (np.maximum(a, b) > rho.buf[:len(a)])).any()
         evolved = probability_from_wavefield(evolve_qw(coins))
-        assert _max_error(evolved, rho) < (COIN_NORM_TOL if clamped
-                                           else 1e-10)
+        assert _max_error(evolved, rho) < 1e-10

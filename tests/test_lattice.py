@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from walkforge.lattice import (
     suffix_sums,
     to_storage_index,
 )
+from walkforge.targets import uniform_target
 
 
 def test_storage_index_examples():
@@ -96,6 +98,20 @@ def test_slice_totals_equal_fsum(values):
     assert lattice._totals(buf).tolist() == fsum
 
 
+def test_slice_totals_hold_at_most_five_blocks():
+    # At T = 2000 every block holds about _BLOCK_SIZE entries, and a block,
+    # its cumsum and its step errors are live at once.  Keeping the last
+    # block's three until the next cascade returned peaked at 1.57 MB here.
+    buf = uniform_target(2000).buf
+    tracemalloc.start()
+    try:
+        lattice._totals(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * lattice._BLOCK_SIZE * 8
+
+
 def test_probability_sequence_rejects_bad_slice_length():
     with pytest.raises(FormatError, match="slice t=1"):
         ProbabilitySequence([[1.0], [1.0]])
@@ -129,6 +145,9 @@ def test_each_threshold_is_written_once():
         if isinstance(node, ast.Constant) and type(node.value) is float
         and 0.0 < node.value < 1e-3)
     assert {value: n for value, n in counts.items() if n > 1} == {}
+    # No new one: the noise floor, the accuracy bound, renormalize's
+    # acceptance and the drift below which a slice is not divided.
+    assert set(counts) == {lattice.NORM_TOL, lattice.ROUNDTRIP_TOL, 1e-9, 1e-15}
 
 
 def test_probability_sequence_rejects_real_negatives():

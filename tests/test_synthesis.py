@@ -173,15 +173,16 @@ def test_exact_zero_and_pi_walks_with_signed_zeros_round_trip(horizon, init,
 
 def test_subnormal_sites_use_an_absolute_tolerance():
     # Site (-1, 1) holds mass 1e-320, its successor 1.21e-320: relatively
-    # far apart, but both below the smallest normal, where the tolerance is
-    # COIN_NORM_TOL times that normal.
+    # far apart, but both below the smallest normal, where a step may move
+    # ROUNDTRIP_TOL times the square root of that normal, 1.49e-164.
     def field(successor):
         return WaveField([[1.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
                          [[0.0], [1e-160, 0.0], [successor, 0.0, 0.0]])
     coins = synthesize_coins(field(1.1e-160))
     assert coins.value(-1, 1) == math.pi
+    synthesize_coins(field(1e-82))  # moves 1e-164
     with pytest.raises(IntegrityError, match=r"\(n=-1, t=1\)"):
-        synthesize_coins(field(1e-155))
+        synthesize_coins(field(1e-81))  # moves 1e-162
 
 
 def test_uniform_coin_examples():
