@@ -136,11 +136,7 @@ def cmd_synth(args) -> int:
 def cmd_evolve(args) -> int:
     _require(args, "schedule")
     schedule = io.read_schedule_json(args.schedule)
-    kind = "qw" if isinstance(schedule, CoinSchedule) else "rw"
-    if args.walk not in (None, kind):
-        raise WalkError(f"--walk {args.walk} does not match {args.schedule}, "
-                        f"which holds a {kind} schedule")
-    if kind == "rw" and args.init is not None:
+    if not isinstance(schedule, CoinSchedule) and args.init is not None:
         raise WalkError(f"--init applies to qw schedules only; "
                         f"{args.schedule} holds an rw schedule")
     text = "1,0" if args.init is None else args.init
@@ -279,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="forward-evolve a schedule exactly")
     common(p, horizon=True, out_field=True)
-    p.add_argument("--walk", choices=("qw", "rw"), default=None,
-                   help="must match the schedule kind if given")
     p.add_argument("--schedule", default=None)
     p.add_argument("--init", default=None,
                    help="initial chirality amplitudes a,b (qw; default 1,0)")

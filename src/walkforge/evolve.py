@@ -1,11 +1,11 @@
 """Forward engines: real and complex quantum walks, exact and sampled
 random walks.
 
-Four routes are kept side by side because they serve as one another's
-oracles: the real inhomogeneous recursion, the complex homogeneous
-recursion, the closed form built from the trigonometric kernel Lambda (one
-FFT per slice, O(T^2 log T)), and the exact classical master equation.
-Both complex engines step with one coin, :meth:`HomogeneousCoinParams.coin`.
+Both quantum recursions, real inhomogeneous and complex homogeneous, step
+through one loop, :func:`_walk`.  The closed form built from the
+trigonometric kernel Lambda (one FFT per slice, O(T^2 log T)) and the tests'
+dense-matrix oracle of the real walk stay independent checks of it; the
+classical walk has the exact master equation.
 Monte Carlo trajectories use per-trajectory counter-based substreams keyed
 by (master seed, trajectory index) and advance in blocks that add integer
 counts.  The blocks are shared among forked workers, one per CPU the
@@ -18,6 +18,7 @@ p = 0, which keeps the mass; :func:`_check_coverage` alone judges it dead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -139,9 +140,24 @@ def _check_coverage(schedule, mass: np.ndarray, what: str) -> None:
         raise CoverageError(f"{what} (n={n}, t={t})")
 
 
+def _walk(init, coins, steps: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """psi+ and psi- of slices 0..steps, started from ``init`` at the origin;
+    step t applies the t-th coin (pp, pm, mp, mm) of ``coins``:
+    psi+(n+1, t+1) = pp psi+(n, t) + pm psi-(n, t),
+    psi-(n-1, t+1) = mp psi+(n, t) - mm psi-(n, t)."""
+    plus = np.zeros(slice_offset(steps + 1), dtype=dtype)
+    minus = np.zeros_like(plus)
+    plus[0], minus[0] = init
+    wp, wm = split_slices(plus), split_slices(minus)
+    for t, (pp, pm, mp, mm) in zip(range(steps), coins):
+        wp[t + 1][1:] = pp * wp[t] + pm * wm[t]
+        wm[t + 1][:-1] = mp * wp[t] - mm * wm[t]
+    return plus, minus
+
+
 def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
               steps: int | None = None) -> WaveField:
-    """Evolve the real inhomogeneous walk under a coin schedule.
+    """Evolve the real inhomogeneous walk of a schedule by :func:`_walk`.
 
     psi+(n+1, t+1) = cos th psi+(n, t) + sin th psi-(n, t),
     psi-(n-1, t+1) = sin th psi+(n, t) - cos th psi-(n, t).
@@ -158,13 +174,7 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     th = np.nan_to_num(schedule.buf[:slice_offset(steps)])  # NaN steps as 0
     s = split_slices(np.sin(th))
     c = split_slices(np.cos(th, out=th))
-    plus = np.zeros(slice_offset(steps + 1))
-    minus = np.zeros_like(plus)
-    plus[0], minus[0] = a, b
-    wp, wm = split_slices(plus), split_slices(minus)
-    for t in range(steps):
-        wp[t + 1][1:] = c[t] * wp[t] + s[t] * wm[t]
-        wm[t + 1][:-1] = s[t] * wp[t] - c[t] * wm[t]
+    plus, minus = _walk((a, b), zip(c, s, s, c), steps, float)
     del th, c, s  # free both buffers before the mass is formed
     field = WaveField(plus, minus)
     _check_coverage(schedule, field.mass()[:slice_offset(steps)],
@@ -175,15 +185,9 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
 def evolve_qw_complex(params: HomogeneousCoinParams, horizon: int) -> ComplexWaveField:
     """Step-by-step evolution of the general homogeneous complex walk."""
     _check_horizon(horizon)
-    plus = np.zeros(slice_offset(horizon + 1), dtype=complex)
-    minus = np.zeros_like(plus)
-    plus[0], minus[0] = params.initial_state()
-    pp, pm, mp, mm = params.coin()
-    wp, wm = split_slices(plus), split_slices(minus)
-    for t in range(horizon):
-        wp[t + 1][1:] = pp * wp[t] + pm * wm[t]
-        wm[t + 1][:-1] = mp * wp[t] - mm * wm[t]
-    return ComplexWaveField(plus, minus)
+    return ComplexWaveField(*_walk(params.initial_state(),
+                                   itertools.repeat(params.coin()),
+                                   horizon, complex))
 
 
 def _kernel_terms(theta: float, t: int):

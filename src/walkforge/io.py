@@ -87,7 +87,7 @@ def _parse_csv(path):
     Each row is checked in turn for its width, then its t, n and value, its
     site and a repeat, so the first faulty row is reported.  Rows are
     numbered as csv.reader counts them: the header is row 1, blanks count."""
-    t_col, k_col, values, seen = [], [], [], set()
+    t_col, flat_col, values, seen = [], [], [], set()
     with open(path, newline="", encoding="utf-8") as fh:
         rows = enumerate(csv.reader(fh), 1)
         if next(rows, None) is None:
@@ -99,19 +99,18 @@ def _parse_csv(path):
                 if len(row) != 3:
                     raise ValueError(f"expected 3 columns, got {len(row)}")
                 t, n, value = _int64(row[0]), _int64(row[1]), float(row[2])
-                k = to_storage_index(n, t)
-                if (flat := slice_offset(t) + k) in seen:
+                flat = slice_offset(t) + to_storage_index(n, t)
+                if flat in seen:
                     raise ValueError(f"duplicate entry for (n={n}, t={t})")
             except _PARSE_ERRORS as exc:
                 raise FormatError(f"row {lineno}: {exc}") from None
             seen.add(flat)
             t_col.append(t)
-            k_col.append(k)
+            flat_col.append(flat)
             values.append(value)
     if not seen:
         raise FormatError("no data rows")
-    t, k = np.array(t_col, np.int64), np.array(k_col, np.int64)
-    return t, slice_offset(t) + k, np.array(values)
+    return np.array(t_col, np.int64), flat_col, np.array(values)
 
 
 # The bytes of a file that np.loadtxt reads as _parse_csv does: ASCII but
