@@ -41,6 +41,7 @@ from .lattice import (
     ProbabilitySequence,
     ROUNDTRIP_TOL,
     WalkError,
+    _check_horizon,
     flat_sites,
     probability_from_wavefield,
     site_positions,
@@ -168,7 +169,7 @@ def cmd_hadamard(args) -> int:
     params = HomogeneousCoinParams(theta=args.theta, eta=args.eta,
                                    gamma=args.gamma, alpha=args.alpha,
                                    beta=args.beta, chi=args.chi)
-    t = args.horizon
+    t = _check_horizon(args.horizon)
     if args.route == "asymptotic":
         limit = t * abs(math.cos(params.theta))
         rows = [(n, asymptotic_density(params, n, t))
@@ -215,7 +216,7 @@ def cmd_figure(args) -> int:
     _require(args, "which")
     params = FIG1_PARAMS if args.which == "fig1" else FIG2_PARAMS
     t_plot = args.horizon
-    field = evolve_qw_complex(params, t_plot + 1)
+    field = evolve_qw_complex(params, t_plot)
     exact = probability_from_wavefield(field)
     schedule = mimic_quantum_walk(field)
     cfg = McConfig(trajectories=args.trajectories, seed=args.seed,

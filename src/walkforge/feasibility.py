@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (FluxField, InfeasibleTargetError, ProbabilitySequence,
-                      ROUNDTRIP_TOL, _blocks, flat_sites, neighbours,
-                      prefix_sums, slice_offset, suffix_sums)
+                      ROUNDTRIP_TOL, _blocks, _scan, flat_sites, neighbours,
+                      slice_offset)
 
 
 def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
@@ -30,16 +30,22 @@ def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
     for a, x in _blocks(rho.slices, extra=1):
         # Rows of x are slices a, a + 1, ..., zero-padded: row i is slice
         # t = a + i and row i + 1 slice t + 1; column k is site k of t.
-        pre = prefix_sums(x)            # pre[i, k] = sum_{j <= k} x[i, j]
-        suf = suffix_sums(x)            # suf[i, k] = sum_{j >= k} x[i, j]
-        pre_p, pre_c = pre[:-1, :-1], pre[1:, :-1]
-        below = np.zeros_like(pre_p)    # sum_{j < k} of slice t
-        below[:, 1:] = pre_p[:, :-1]
+        # One scan of rows [0 | x] and then [0 | x mirrored] gives
+        # pre[i, k] = sum_{j < k} x[i, j] and suf[i, k] = sum_{j >= k} x[i, j],
+        # suf[i, -1] = 0; the tables below are views of it.
+        r, w = x.shape
+        z = np.zeros((2 * r, w + 1))
+        z[:r, 1:], z[r:, 1:] = x, x[:, ::-1]
+        pre, suf = np.split(_scan(z), 2)
+        suf = suf[:, ::-1]
+        below = pre[:-1, :-2]           # sum_{j < k} of slice t
+        pre_p = pre[:-1, 1:-1]          # sum_{j <= k} of slice t
+        pre_c = pre[1:, 1:-1]           # sum_{j <= k} of slice t + 1
         above = suf[1:, 1:-1]           # sum_{j > k} of slice t + 1
         ab = np.where(above <= 0.5, above - suf[:-1, 1:-1], pre_p - pre_c)
         bb = np.where(pre_c <= 0.5, pre_c - below, suf[:-1, :-2] - above)
-        end = a + len(x) - 1
-        sites = np.arange(x.shape[1] - 1) <= np.arange(a, end)[:, None]
+        end = a + r - 1
+        sites = np.arange(w - 1) <= np.arange(a, end)[:, None]
         rows = slice(slice_offset(a), slice_offset(end))
         right[rows], left[rows] = ab[sites], bb[sites]
     return right, left

@@ -19,11 +19,12 @@ views are read-only) and therefore safe to share across threads.
 
 Sums over time slices run batched: blocks of slices are copied into a
 zero-padded 2-D array and summed by one ``cumsum`` along its rows, which
-still adds each slice strictly left to right.  Prefix and suffix tables are
-compensated by cascaded TwoSum, and slice totals are exactly rounded: the
-cascaded total, certified against its error bound, or ``math.fsum`` where
-that cannot decide.  Normalisation drift thus stays below test tolerances
-for horizons up to 10^4.
+still adds each slice strictly left to right.  The split's partial sums
+come from one compensated scan (cascaded TwoSum) of each block and its
+mirror, and slice totals are exactly rounded: the cascaded total,
+certified against its error bound, or ``math.fsum`` where that cannot
+decide.  Normalisation drift thus stays below test tolerances for
+horizons up to 10^4.
 """
 
 from __future__ import annotations
@@ -192,26 +193,15 @@ def _cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, err
 
 
-def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Compensated prefix sums along the last axis;
-    out[..., k] = sum(values[..., :k + 1]).
-
-    The plain ``cumsum`` is corrected by the running sum of the exact
-    rounding error of each step (:func:`_cascade`).  Both ``cumsum`` calls
-    accumulate strictly left to right, so each row equals a scalar Neumaier
-    scan bit for bit.
-    """
-    s, err = _cascade(np.array(values, dtype=float, order="C"))
-    return s + np.cumsum(err, axis=-1)
-
-
-def suffix_sums(values: np.ndarray) -> np.ndarray:
-    """Compensated suffix sums along the last axis, with a zero sentinel:
-    out[..., k] = sum(values[..., k:]), out[..., -1] = 0."""
-    x = np.asarray(values, dtype=float)
-    reversed_ = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    reversed_[..., 1:] = x[..., ::-1]
-    return prefix_sums(reversed_)[..., ::-1]
+def _scan(x: np.ndarray) -> np.ndarray:
+    """Compensated prefix sums along the last axis of x, C-contiguous, which
+    is overwritten: out[..., k] = sum(x[..., :k + 1]).  The plain ``cumsum``
+    is corrected by the running sum of the exact rounding error of each
+    step (:func:`_cascade`); both accumulate strictly left to right, so each
+    row equals a scalar Neumaier scan bit for bit."""
+    s, err = _cascade(x)
+    s += np.cumsum(err, axis=-1, out=err)
+    return s
 
 
 def _totals(buf: np.ndarray) -> np.ndarray:

@@ -479,6 +479,12 @@ def test_figure_outputs(capsys, tmp_path, which):
     assert len(rows) == 13
     assert sum(float(r["exact"]) for r in rows) == pytest.approx(1.0,
                                                                  abs=1e-12)
+    # At T = 0 the walker sits at the origin: one row, no step evolved.
+    code, _, _ = run(capsys, "figure", "--which", which, "-T", "0",
+                     "-N", "3000", "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / f"{which}.csv").read_text() == \
+        "n,exact,mc,stderr\n0,1.0,1.0,0.0\n"
 
 
 def test_config_file_defaults_and_override(capsys, tmp_path):
@@ -658,7 +664,7 @@ CONTRACT = [
     (["hadamard", "--closed-form", "--theta", "0.7", "-T", "-1"],
      "horizon must be >= 0"),
     (["hadamard", "--asymptotic", "--theta", "0.7", "-T", "-1"],
-     "negative time"),
+     "horizon must be >= 0"),
     (["evolve", "-T", "x"], "invalid int value: 'x'"),
     (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
     (["synth", "--walk", "xx"], "invalid choice: 'xx'"),
@@ -758,8 +764,13 @@ CONTRACT = [
      "horizon 10000000000 is too large to address"),
     (["hadamard", "--closed-form", "--theta", "0.7", "-T", "10000000000"],
      "horizon 10000000000 is too large to address"),
+    (["hadamard", "--asymptotic", "--theta", "0.7", "-T", "10000000000"],
+     "horizon 10000000000 is too large to address"),
+    (["hadamard", "--asymptotic", "--theta", "0.7", "-T",
+      "10000000000000000000"],
+     "horizon 10000000000000000000 is too large to address"),
     (["figure", "--which", "fig1", "-T", "10000000000", "--out", "{tmp}"],
-     "horizon 10000000001 is too large to address"),
+     "horizon 10000000000 is too large to address"),
     (["validate", "--target", "binomial:0.5", "-T", "10000000000"],
      "horizon 10000000000 is too large to address"),
     (["mc", "--schedule", "{tmp}/jumps.json", "-N", str(2 ** 63)],

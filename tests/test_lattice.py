@@ -24,10 +24,8 @@ from walkforge.lattice import (
     WaveField,
     from_storage_index,
     probability_from_wavefield,
-    prefix_sums,
     slice_offset,
     split_slices,
-    suffix_sums,
     to_storage_index,
 )
 from walkforge.targets import uniform_target
@@ -67,8 +65,8 @@ def test_storage_index_round_trip(t, data):
 @given(st.lists(st.floats(0, 1e3, allow_nan=False), min_size=1, max_size=200))
 def test_prefix_suffix_sums_match_fsum(values):
     arr = np.array(values)
-    pre = prefix_sums(arr)
-    suf = suffix_sums(arr)
+    pre = lattice._scan(arr.copy())
+    suf = lattice._scan(np.r_[0.0, arr[::-1]])[::-1]
     assert suf[-1] == 0.0
     for k in (0, len(arr) // 2, len(arr) - 1):
         assert pre[k] == pytest.approx(math.fsum(arr[: k + 1]), abs=1e-9, rel=1e-12)
