@@ -171,7 +171,8 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
     norm = a * a + b * b  # inf, not OverflowError, if it overflows
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails every comparison
         raise WalkError(f"initial state norm {norm!r} != 1")
-    th = np.nan_to_num(schedule.buf[:slice_offset(steps)])  # NaN steps as 0
+    th = schedule.buf[:slice_offset(steps)]
+    th = np.where(np.isnan(th), 0.0, th)  # NaN steps as 0; angles are finite
     s = split_slices(np.sin(th))
     c = split_slices(np.cos(th, out=th))
     plus, minus = _walk((a, b), zip(c, s, s, c), steps, float)

@@ -4,8 +4,9 @@ Conservation splits the mass of each site in two: a(n, t) = (rho + J) / 2
 passes right and b(n, t) = (rho - J) / 2 left, J = a - b the flux.  Partial
 sums of two consecutive slices fix both, so a sequence is realisable by
 some walk (quantum or classical) exactly when a, b >= 0, i.e. |J| <= rho.
-One gate, :func:`_flux_bound`, judges the split at ROUNDTRIP_TOL for the
-feasibility report, the wave field and the jump probabilities alike.
+One gate, run block by block in :func:`_split`'s pass, judges the split at
+ROUNDTRIP_TOL for the feasibility report, the wave field and the jump
+probabilities alike: (n, t) is judged by rho there and at (n +- 1, t + 1).
 """
 
 from __future__ import annotations
@@ -19,14 +20,21 @@ from .lattice import (FluxField, InfeasibleTargetError, ProbabilitySequence,
                       slice_offset)
 
 
-def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
+def _split(rho: ProbabilitySequence, *, gate: bool = True):
     """a(n, t) = psi+^2(n+1, t+1), the mass right of n at t + 1 less that
     right of n at t, and b(n, t) = psi-^2(n-1, t+1), likewise on the left,
-    for t = 0..T-1 in slice order, unclamped.  Each value comes from the
-    compensated partial sums anchored at the nearer cone edge, which keeps
-    low-probability tails relatively accurate."""
+    for t = 0..T-1 in slice order, and the mask of the sites that fail the
+    flux bound.  Each value comes from the compensated partial sums anchored
+    at the nearer cone edge, which keeps low-probability tails relatively
+    accurate.  With ``gate`` (else a and b are unclamped and the mask is
+    empty), each block tests |J| <= rho + ROUNDTRIP_TOL, additive because
+    rho can be exactly zero inside the cone.  Where it holds, a split outside
+    its interval gets a clipped into it and b = rho - a.  The interval
+    [0, rho] narrows to {0} where (n + 1, t + 1) is empty and to {rho} where
+    (n - 1, t + 1) is; a site with mass and both empty fails."""
     right = np.empty(slice_offset(rho.horizon))
     left = np.empty_like(right)
+    violated = np.zeros(len(right), bool)
     for a, x in _blocks(rho.slices, extra=1):
         # Rows of x are slices a, a + 1, ..., zero-padded: row i is slice
         # t = a + i and row i + 1 slice t + 1; column k is site k of t.
@@ -47,13 +55,26 @@ def _split(rho: ProbabilitySequence) -> tuple[np.ndarray, np.ndarray]:
         end = a + r - 1
         sites = np.arange(w - 1) <= np.arange(a, end)[:, None]
         rows = slice(slice_offset(a), slice_offset(end))
+        if gate:
+            rs = x[:-1, :-1]  # where rho = 0, rho + tol is exactly tol
+            bad = abs(ab - bb) > rs + ROUNDTRIP_TOL
+            to_right, to_left = x[1:, 1:] != 0.0, x[1:, :-1] != 0.0
+            narrowed = (rs != 0.0) & ~(to_right & to_left)
+            bad |= narrowed & ~(to_right | to_left)
+            at = ~bad & (narrowed | (np.minimum(ab, bb) < 0.0)
+                         | (np.maximum(ab, bb) > rs))
+            m = rs[at]
+            ab[at] = c = np.clip(ab[at], m * ~to_left[at], m * to_right[at])
+            bb[at] = m - c
+            violated[rows] = bad[sites]
         right[rows], left[rows] = ab[sites], bb[sites]
-    return right, left
+    return right, left, violated
 
 
 def flux_from_rho(rho: ProbabilitySequence) -> FluxField:
-    """The flux J(n, t) = a - b for t = 0..T-1 (see :func:`_split`)."""
-    return FluxField(np.subtract(*_split(rho)))
+    """The flux J(n, t) = a - b, unclamped, for t = 0..T-1 (:func:`_split`)."""
+    right, left, _ = _split(rho, gate=False)
+    return FluxField(np.subtract(right, left, out=right))
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,7 @@ class Violation:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    # The sites that fail :func:`_flux_bound`, with their unclamped J and rho.
+    # The sites that fail the gate of :func:`_split`, with unclamped J, rho.
     violations: tuple[Violation, ...]
     # Feasible sites with rho > 0 and 2 min(a, b) <= tol rho on the clipped
     # split (||J| - rho| <= tol, made relative): the walker moves one way.
@@ -93,47 +114,23 @@ def _sites(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(ns.tolist(), ts.tolist()))
 
 
-def _flux_bound(rho: ProbabilitySequence):
-    """The one test of the flux bound |J| <= rho + ROUNDTRIP_TOL, additive
-    because rho can be exactly zero inside the cone: the split (a, b) and
-    the mask of the sites that fail it.  Where the bound holds, in place, a
-    split outside its interval gets a clipped into it and b = rho - a.  The
-    interval [0, rho] narrows to {0} where (n + 1, t + 1) is empty and to
-    {rho} where (n - 1, t + 1) is; a site with mass and both empty fails."""
-    right, left = split = _split(rho)
-    rs = rho.buf[:len(right)]
-    aj = abs(right - left)  # numpy takes |.| in the temporary's buffer
-    # Where rho = 0, rho + tol is exactly tol.
-    violated = aj > rs + ROUNDTRIP_TOL
-    to_right, to_left = (neighbours(rho.buf != 0.0, dn) for dn in (1, -1))
-    narrowed = (rs != 0.0) & ~(to_right & to_left)
-    violated |= narrowed & ~(to_right | to_left)
-    at = np.flatnonzero(~violated & (
-        narrowed | (np.minimum(right, left, out=aj) < 0.0)
-        | (np.maximum(right, left, out=aj) > rs)))
-    r = rs[at]
-    right[at] = a = np.clip(right[at], r * ~to_left[at], r * to_right[at])
-    left[at] = r - a
-    return split, violated
-
-
 def _feasible_split(rho: ProbabilitySequence):
     """The clipped split of a target within the flux bound, for synthesis;
     otherwise InfeasibleTargetError names the first five violated sites."""
-    split, violated = _flux_bound(rho)
+    right, left, violated = _split(rho)
     if violated.any():
         ns, ts = (x.tolist() for x in flat_sites(np.flatnonzero(violated)[:5]))
         raise InfeasibleTargetError(
             "target is infeasible; flux bound violated at "
             + ", ".join(map("(n={}, t={})".format, ns, ts)), n=ns[0], t=ts[0])
-    return split
+    return right, left
 
 
 def validate_sequence(rho: ProbabilitySequence) -> FeasibilityReport:
-    """Check the bound of :func:`_flux_bound` at every on-support site and
+    """Check the flux bound of :func:`_split` at every on-support site and
     list the boundary and undefined sites of the split that synthesis reads;
     infeasibility is a report outcome, not an error."""
-    (right, left), violated = _flux_bound(rho)
+    right, left, violated = _split(rho)
     rs = rho.buf[:len(right)]
     zero = rs == 0.0
     undefined = zero & ~violated

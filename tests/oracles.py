@@ -4,7 +4,8 @@ These are the scalar loops the library replaced with whole-slice numpy
 expressions.  They are kept only as test oracles: the property tests
 compare the library against them, so every change in rounding or in which
 site an error names shows up as a test failure.  ``random_jump_target``
-builds the seeded targets several test modules share.
+and ``perturbed_jump_target`` build the seeded targets several test
+modules share.
 """
 
 from __future__ import annotations
@@ -41,6 +42,24 @@ def random_jump_target(rng, horizon, lo=0.05, hi=0.95, p_edge=0.0):
         nxt[1:] += p * slices[-1]
         nxt[:-1] += (1.0 - p) * slices[-1]
         slices.append(nxt)
+    return ProbabilitySequence(slices)
+
+
+def perturbed_jump_target(rng, horizon, small):
+    """A master-equation target with some empty sites, where one to three
+    times a mass delta moves between two sites of one slice: delta <= tol/4
+    if ``small``, else delta >= 4 tol.  Slice totals are kept, and the site
+    that gives holds at least delta, so the target loads.  horizon >= 1."""
+    slices = [s.copy() for s in
+              random_jump_target(rng, horizon, p_edge=0.3).slices]
+    for _ in range(rng.integers(1, 4)):
+        x = slices[rng.integers(1, horizon + 1)]
+        delta = (ROUNDTRIP_TOL / 4 * rng.random() if small
+                 else 4 * ROUNDTRIP_TOL * 10 ** rng.uniform(0.0, 6.0))
+        give = rng.choice(np.flatnonzero(x >= delta))
+        take = rng.choice(np.flatnonzero(np.arange(len(x)) != give))
+        x[give] -= delta
+        x[take] += delta
     return ProbabilitySequence(slices)
 
 

@@ -217,11 +217,18 @@ def test_targets_validate_accepts_synthesize(capsys, tmp_path, name, walk):
         assert json.loads(out)["pass"] is True
 
 
-# 5e7 sites: rw takes about 2 GB at peak and 10 s, qw 3.2 GB and 16 s.
-# binomial:0.3 holds millions of empty sites, whose split the gate keeps
-# off them.
-@pytest.mark.parametrize("target, walk", [("binomial:0.3", "rw"),
-                                          ("uniform", "qw")])
+# 5e7 sites: rw peaks at 1.6 GB on binomial:0.3 and 2.3 GB on the
+# Hadamard target, qw at 3.2 GB.  binomial:0.3 holds millions of empty sites,
+# whose split the gate keeps off them.  The last two cases are the paper's
+# claims: a quantum walk that spreads diffusively, and a random walk that
+# spreads ballistically like the Hadamard walk.
+@pytest.mark.parametrize("target, walk", [
+    ("binomial:0.3", "rw"),
+    ("uniform", "qw"),
+    ("binomial:0.5", "qw"),
+    ("hadamard:0.7853981633974483,0.7853981633974483,1.5707963267948966",
+     "rw"),
+])
 def test_roundtrip_at_horizon_ten_thousand(capsys, target, walk):
     code, out, err = run(capsys, "roundtrip", "--target", target,
                          "-T", "10000", "--walk", walk)

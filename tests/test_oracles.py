@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from oracles import random_jump_target
+from oracles import perturbed_jump_target, random_jump_target
 from walkforge import feasibility, lattice, synthesis
 from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
 from walkforge.lattice import ProbabilitySequence, WalkError
@@ -110,17 +110,22 @@ def random_slices_target(rng, horizon):
                                 for t in range(horizon + 1)])
 
 
-@given(st.sampled_from([random_jump_target, random_coin_target,
-                        random_slices_target]),
+@given(st.sampled_from([random_jump_target, perturbed_jump_target,
+                        random_coin_target, random_slices_target]),
        st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=60, deadline=None)
 # The split and the recursion disagree by 2.16e-15 here; the split errs by
 # 1.4e-16, the recursion by 2.1e-15.
 @example(random_coin_target, 24, 8027192, False)
+# Feasible, and the gate clips one site: the clipped and unclipped splits
+# differ there.
+@example(perturbed_jump_target, 5, 3, True)
 def test_small_targets_match_oracles(family, horizon, seed, edges):
     rng = np.random.default_rng(seed)
     if family is random_jump_target:
         rho = family(rng, horizon, p_edge=0.3 if edges else 0.0)
+    elif family is perturbed_jump_target:
+        rho = family(rng, max(horizon, 1), small=edges)
     else:
         rho = family(rng, horizon)
     check_against_oracles(rho)
