@@ -18,14 +18,14 @@ All containers are immutable after construction (the buffers and their
 views are read-only) and therefore safe to share across threads.
 
 Sums over time slices run batched: blocks of slices are copied into a
-zero-padded 2-D array and summed by one ``cumsum`` along its rows, which
-still adds each slice strictly left to right.  The split's partial sums
-come from one compensated scan (cascaded TwoSum) of each block and its
-mirror, and the flux gate runs on the same block, whose extra row holds
-slice t + 1.  Slice totals are exactly rounded: the cascaded total,
-certified against its error bound, or ``math.fsum`` where that cannot
-decide.  Normalisation drift thus stays below test tolerances for
-horizons up to 10^4.
+zero-padded 2-D array and summed by one ``cumsum`` along its rows, which still
+adds each slice strictly left to right.  The split's partial sums come from
+one compensated scan (cascaded TwoSum) of each block and its mirror, and the
+flux gate runs on the same block, whose extra row holds slice t + 1; coin
+synthesis steps the wave field in the same blocks.  Slice totals are exactly
+rounded: the cascaded total, certified against its error bound, or
+``math.fsum`` where that cannot decide.  Normalisation drift thus stays below
+test tolerances for horizons up to 10^4.
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ from .lattice import (
     ProbabilitySequence,
     ROUNDTRIP_TOL,
     WaveField,
+    _blocks,
     _first_fault,
     neighbours,
     slice_offset,
+    split_slices,
 )
 
 
@@ -58,35 +60,43 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     and psi-' = psi-(n-1, t+1); undefined where psi+ = psi- = 0.  A step may
     move at most tol sqrt(max(rho, tiny)) of the local mass rho = psi+^2 +
     psi-^2 (an undefined site none; tol = ROUNDTRIP_TOL, tiny the smallest
-    normal) and needs rho sin theta >= -tol rho, or IntegrityError names it.
-    """
-    wp_next, wm_next = neighbours(w.plus_buf, 1), neighbours(w.minus_buf, -1)
-    wp, wm = w.plus_buf[:len(wp_next)], w.minus_buf[:len(wm_next)]
-    c = wp * wp_next - wm * wm_next
-    s = wm * wp_next + wp * wm_next
-    drift = np.square(wp_next, out=wp_next)  # in place: at most five
-    drift += np.square(wm_next, out=wm_next)  # buffers are alive at once
-    del wm_next
-    mass = w.mass()[:len(wp)]
-    np.abs(np.subtract(drift, mass, out=drift), out=drift)
-    scale = np.maximum(mass, np.finfo(float).tiny, out=mass)
-    defined = (wp != 0.0) | (wm != 0.0)
-    # A mass defect delta is an amplitude error of about delta / (2 sqrt rho),
-    # which interference (amplitudes <= 1) makes <= delta / sqrt rho of mass.
-    bad = drift > ROUNDTRIP_TOL * np.sqrt(scale)
-    if bad.any():
-        i, n, t = _first_fault(bad)
-        raise IntegrityError(
-            f"coin at (n={n}, t={t}) changes the local mass by "
-            f"{float(drift[i])!r}; wave field inconsistent")
-    bad = defined & (s < -ROUNDTRIP_TOL * scale)
-    if bad.any():
-        i, n, t = _first_fault(bad)
-        raise IntegrityError(f"coin at (n={n}, t={t}) has rho sin theta = "
-                             f"{float(s[i])!r} < 0; wave field inconsistent")
-    s[s <= 0.0] = 0.0  # -0.0 too: atan2 then lies in [0, pi]
-    theta = np.arctan2(s, c, out=c)
-    theta[~defined] = math.nan
+    normal) and needs rho sin theta >= -tol rho; IntegrityError names the
+    first step that moves mass, else the first to fail the sine test.  It
+    steps w in the split's slice blocks (:func:`lattice._blocks`)."""
+    mass = split_slices(w.mass())
+    theta, fault = np.empty(slice_offset(w.horizon)), None
+    for (a, p), (_, m), (_, x) in zip(*(_blocks(f, extra=1) for f in (
+            w.plus_slices, w.minus_slices, mass))):
+        # Row i is slice t = a + i, zero-padded; psi+-' are in row i + 1.
+        wp, wm, rho = p[:-1, :-1], m[:-1, :-1], x[:-1, :-1]
+        wp_next, wm_next = p[1:, 1:], m[1:, :-1]
+        c = wp * wp_next - wm * wm_next
+        s = wm * wp_next + wp * wm_next
+        drift = np.abs(np.square(wp_next) + np.square(wm_next) - rho)
+        scale = np.maximum(rho, np.finfo(float).tiny)
+        defined = (wp != 0.0) | (wm != 0.0)
+        end = a + len(x) - 1
+        sites = np.arange(x.shape[1] - 1) <= np.arange(a, end)[:, None]
+        # A mass defect delta is an amplitude error of about delta / (2 sqrt
+        # rho), which interference (amplitudes <= 1) makes <= delta / sqrt rho.
+        bad = sites & (drift > ROUNDTRIP_TOL * np.sqrt(scale))
+        if bad.any():
+            i, k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise IntegrityError(
+                f"coin at (n={2 * k - a - i}, t={a + i}) changes the local "
+                f"mass by {float(drift[i, k])!r}; wave field inconsistent")
+        bad = defined & (s < -ROUNDTRIP_TOL * scale)
+        if fault is None and bad.any():
+            i, k = np.unravel_index(np.argmax(bad), bad.shape)
+            fault = IntegrityError(
+                f"coin at (n={2 * k - a - i}, t={a + i}) has rho sin theta = "
+                f"{float(s[i, k])!r} < 0; wave field inconsistent")
+        s[s <= 0.0] = 0.0  # -0.0 too: atan2 then lies in [0, pi]
+        th = np.arctan2(s, c, out=c)
+        th[~defined] = math.nan
+        theta[slice_offset(a):slice_offset(end)] = th[sites]
+    if fault is not None:
+        raise fault
     return CoinSchedule(theta)
 
 

@@ -140,14 +140,16 @@ def test_stranded_site_matches_oracles():
     assert [(v.n, v.t) for v in report.violations] == [(-1, 1)]
 
 
+@pytest.mark.parametrize("block", [lattice._BLOCK, 1])
 @pytest.mark.parametrize("plus, minus, site", [
     ([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], "(n=0, t=0)"),
     ([0.0, 0.6, 0.8], [0.0, 0.0, 0.0], "(n=-1, t=1)"),
 ])
-def test_coin_faults_match_oracle(plus, minus, site):
+def test_coin_faults_match_oracle(monkeypatch, plus, minus, site, block):
     # (0, 0) sends psi+ = 1 to psi- = -1 at (-1, 1), which needs an angle
     # below 0; in the second field (-1, 1) also loses mass, which is named
-    # first, though it comes later.
+    # first, though it comes later: in a later block where each slice is one.
+    monkeypatch.setattr(lattice, "_BLOCK", block)
     w = lattice.WaveField([[1.0], [0.0, 0.0], plus],
                           [[0.0], [-1.0, 0.0], minus])
     got = outcome(synthesis.synthesize_coins, w)
@@ -175,17 +177,21 @@ def test_random_jump_family_matches_oracles_at_T300(seed):
     assert report.feasible
 
 
-@pytest.mark.parametrize("rows, budget, blocks", [(16, 64, 66),
-                                                   (91, 91 * 91, 1)])
+@pytest.mark.parametrize("rows, budget, blocks", [
+    (16, 64, 66), (1, 1, 90), (3, 10 ** 9, 30), (91, 91 * 91, 1)])
 def test_narrow_scan_blocks_match_oracles(monkeypatch, rows, budget, blocks):
     # Block shape never moves a bit.  At 64 entries the split's blocks hold
-    # 16, 3, 2 and then 1 slice, each with one extra row; with 91 rows and
-    # 91^2 entries the whole target is one block.
+    # 16, 3, 2 and then 1 slice, each with one extra row; 1 or 3 rows make
+    # blocks of one slice or three, and with 91 rows and 91^2 entries the
+    # whole target is one block.  Coins keep the default blocks' bytes.
+    rho = random_jump_target(np.random.default_rng(4), 90, p_edge=0.1)
+    coins = synthesis.synthesize_coins(synthesis.reconstruct_wavefield(rho))
     monkeypatch.setattr(lattice, "_BLOCK", rows)
     monkeypatch.setattr(lattice, "_BLOCK_SIZE", budget)
-    rho = random_jump_target(np.random.default_rng(4), 90, p_edge=0.1)
     assert len(list(lattice._blocks(rho.slices, extra=1))) == blocks
     check_against_oracles(rho)
+    assert synthesis.synthesize_coins(synthesis.reconstruct_wavefield(
+        rho)).buf.tobytes() == coins.buf.tobytes()
     field = _complex_walk(90)
     assert lattice.probability_from_wavefield(field).buf.tobytes() == \
         oracles.probability_from_wavefield(field).buf.tobytes()

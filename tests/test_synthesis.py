@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ def test_uniform_round_trip_at_T2000(walk):
     worst = max(float(np.max(np.abs(b - r)))
                 for b, r in zip(back.slices, rho.slices))
     assert worst < 1e-10
+
+
+def test_coins_take_no_whole_horizon_temporaries():
+    # The field is stepped in slice blocks, so the mass and the angles are
+    # the only float buffers of its size: about 2.4 at the peak.  Whole-
+    # buffer products and neighbour copies would take about 5.4.
+    w = reconstruct_wavefield(uniform_target(2000))
+    tracemalloc.start()
+    try:
+        synthesize_coins(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * slice_offset(2000) * 8
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.71])
