@@ -2,15 +2,15 @@
 random walks.
 
 Both quantum recursions, real inhomogeneous and complex homogeneous, step
-through one loop, :func:`_walk`.  The closed form built from the
+through one loop, :func:`_walk`; the real walk's cos and sin come a slice
+block at a time (:func:`lattice._blocks`).  The closed form built from the
 trigonometric kernel Lambda (one FFT per slice, O(T^2 log T)) and the tests'
 dense-matrix oracle of the real walk stay independent checks of it; the
-classical walk has the exact master equation.
-Monte Carlo trajectories use per-trajectory counter-based substreams keyed
-by (master seed, trajectory index) and advance in blocks that add integer
-counts.  The blocks are shared among forked workers, one per CPU the
-process may run on, so the sample is bit-identical for any block size and
-any CPU count.
+classical walk has the exact master equation.  Monte Carlo trajectories use
+per-trajectory counter-based substreams keyed by (master seed, trajectory
+index) and advance in blocks that add integer counts.  The blocks are shared
+among forked workers, one per CPU the process may run on, so the sample is
+bit-identical for any block size and any CPU count.
 
 The schedule engines step an undefined (NaN) parameter as theta = 0 or
 p = 0, which keeps the mass; :func:`_check_coverage` alone judges it dead.
@@ -35,6 +35,7 @@ from .lattice import (
     ScalarField,
     WaveField,
     WalkError,
+    _blocks,
     _check_horizon,
     _first_fault,
     site_positions,
@@ -164,22 +165,27 @@ def evolve_qw(schedule: CoinSchedule, init=(1.0, 0.0),
 
     ``init`` must have norm 1 within NORM_TOL, else :class:`WalkError`.  An
     undefined coin steps as theta = 0, which keeps the mass; after the
-    field's own checks, a mass above NORM_TOL there is a CoverageError.
+    field's own checks, a mass above NORM_TOL there is a CoverageError, so
+    the mass is formed for that only if some coin is undefined.
     """
     steps = _schedule_steps(schedule, steps)
     a, b = float(init[0]), float(init[1])
     norm = a * a + b * b  # inf, not OverflowError, if it overflows
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails every comparison
         raise WalkError(f"initial state norm {norm!r} != 1")
-    th = schedule.buf[:slice_offset(steps)]
-    th = np.where(np.isnan(th), 0.0, th)  # NaN steps as 0; angles are finite
-    s = split_slices(np.sin(th))
-    c = split_slices(np.cos(th, out=th))
-    plus, minus = _walk((a, b), zip(c, s, s, c), steps, float)
-    del th, c, s  # free both buffers before the mass is formed
-    field = WaveField(plus, minus)
-    _check_coverage(schedule, field.mass()[:slice_offset(steps)],
-                    "coin undefined at live site")
+
+    def coins():  # (cos, sin, sin, cos) of each step, a slice block at a time
+        for t0, th in _blocks(schedule.value_slices[:steps]):
+            th[np.isnan(th)] = 0.0  # NaN steps as 0; angles are finite
+            s, c = np.sin(th), np.cos(th, out=th)
+            for t, c_t, s_t in zip(itertools.count(t0), c, s):
+                yield c_t[:t + 1], s_t[:t + 1], s_t[:t + 1], c_t[:t + 1]
+
+    field = WaveField(*_walk((a, b), coins(), steps, float))
+    n = slice_offset(steps)
+    if np.isnan(schedule.buf[:n]).any():  # else no site can be dead
+        _check_coverage(schedule, field.mass()[:n],
+                        "coin undefined at live site")
     return field
 
 

@@ -7,8 +7,8 @@ one slice-order buffer, slice t at offset t(t+1)/2 and indexed within by
 values are never materialised and parity bugs cannot arise from indexing
 arithmetic.  A container takes a 1-D slice-order array as its buffer
 without copying it, or copies a list of slices into a new one; both go
-through the same checks; a wave field's ``mass()`` is the one formula for
-|psi+|^2 + |psi-|^2.  Producers size a buffer with
+through the same checks; a wave field's ``mass()`` forms |psi+|^2 +
+|psi-|^2 in one new buffer.  Producers size a buffer with
 :func:`slice_offset` and fill it through :func:`split_slices`,
 :func:`neighbours` and :func:`flat_sites`, except that the CSV reader puts
 (n, t) at ``slice_offset(t) + (n + t) / 2`` and ``reconstruct_wavefield``
@@ -388,9 +388,14 @@ class _WaveBase:
     horizon = property(lambda self: len(self._plus) - 1, doc="The last t.")
 
     def mass(self) -> np.ndarray:
-        """rho(n, t) = |psi+|^2 + |psi-|^2 at every site, as a new writable
-        slice-order buffer; callers slice it to the steps they need."""
-        return np.abs(self._plus_buf) ** 2 + np.abs(self._minus_buf) ** 2
+        """rho(n, t) = |psi+|^2 + |psi-|^2 at every site, in one new writable
+        slice-order buffer (|psi-|^2 added in _BLOCK_SIZE chunks) to slice."""
+        rho = np.abs(self._plus_buf)
+        np.square(rho, out=rho)
+        for i in range(0, len(rho), _BLOCK_SIZE):
+            rho[i:i + _BLOCK_SIZE] += np.abs(
+                self._minus_buf[i:i + _BLOCK_SIZE]) ** 2
+        return rho
 
     plus_buf = property(lambda self: self._plus_buf, doc="psi+ buffer.")
     minus_buf = property(lambda self: self._minus_buf, doc="psi- buffer.")

@@ -29,7 +29,6 @@ from .lattice import (
     _first_fault,
     neighbours,
     slice_offset,
-    split_slices,
 )
 
 
@@ -45,9 +44,11 @@ def reconstruct_wavefield(rho: ProbabilitySequence) -> WaveField:
     # Squared until the end.  Each slice of a gains a zero in front and each
     # of b one behind; they start at ``first``, which ends with their length.
     first = slice_offset(np.arange(rho.horizon + 1))
-    zeros = (np.r_[0, first[:-1]], first)
-    plus, minus = (np.insert(x, at, 0.0) for x, at in
-                   zip(feasibility._feasible_split(rho), zeros))
+    a, b = feasibility._feasible_split(rho)
+    plus = np.insert(a, np.r_[0, first[:-1]], 0.0)
+    del a  # each half goes as soon as its copy exists
+    minus = np.insert(b, first, 0.0)
+    del b
     plus[0] = 1.0
     return WaveField(np.sqrt(plus, out=plus), np.sqrt(minus, out=minus))
 
@@ -62,21 +63,21 @@ def synthesize_coins(w: WaveField) -> CoinSchedule:
     psi-^2 (an undefined site none; tol = ROUNDTRIP_TOL, tiny the smallest
     normal) and needs rho sin theta >= -tol rho; IntegrityError names the
     first step that moves mass, else the first to fail the sine test.  It
-    steps w in the split's slice blocks (:func:`lattice._blocks`)."""
-    mass = split_slices(w.mass())
+    steps w, forming rho, in the split's blocks (:func:`lattice._blocks`)."""
     theta, fault = np.empty(slice_offset(w.horizon)), None
-    for (a, p), (_, m), (_, x) in zip(*(_blocks(f, extra=1) for f in (
-            w.plus_slices, w.minus_slices, mass))):
+    for (a, p), (_, m) in zip(_blocks(w.plus_slices, extra=1),
+                              _blocks(w.minus_slices, extra=1)):
         # Row i is slice t = a + i, zero-padded; psi+-' are in row i + 1.
-        wp, wm, rho = p[:-1, :-1], m[:-1, :-1], x[:-1, :-1]
+        wp, wm = p[:-1, :-1], m[:-1, :-1]
         wp_next, wm_next = p[1:, 1:], m[1:, :-1]
+        rho = np.square(wp) + np.square(wm)
         c = wp * wp_next - wm * wm_next
         s = wm * wp_next + wp * wm_next
         drift = np.abs(np.square(wp_next) + np.square(wm_next) - rho)
         scale = np.maximum(rho, np.finfo(float).tiny)
         defined = (wp != 0.0) | (wm != 0.0)
-        end = a + len(x) - 1
-        sites = np.arange(x.shape[1] - 1) <= np.arange(a, end)[:, None]
+        end = a + len(p) - 1
+        sites = np.arange(p.shape[1] - 1) <= np.arange(a, end)[:, None]
         # A mass defect delta is an amplitude error of about delta / (2 sqrt
         # rho), which interference (amplitudes <= 1) makes <= delta / sqrt rho.
         bad = sites & (drift > ROUNDTRIP_TOL * np.sqrt(scale))

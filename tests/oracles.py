@@ -5,12 +5,13 @@ expressions.  They are kept only as test oracles: the property tests
 compare the library against them, so every change in rounding or in which
 site an error names shows up as a test failure.  ``random_jump_target``
 and ``perturbed_jump_target`` build the seeded targets several test
-modules share.
+modules share, and ``peak_buffers`` is their one tracemalloc probe.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -61,6 +62,17 @@ def perturbed_jump_target(rng, horizon, small):
         x[give] -= delta
         x[take] += delta
     return ProbabilitySequence(slices)
+
+
+def peak_buffers(fn, *args, entries: int) -> float:
+    """tracemalloc's peak while ``fn(*args)`` runs, counted in float64
+    buffers of ``entries`` entries; what existed before is not counted."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (8 * entries)
+    finally:
+        tracemalloc.stop()
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:

@@ -217,11 +217,11 @@ def test_targets_validate_accepts_synthesize(capsys, tmp_path, name, walk):
         assert json.loads(out)["pass"] is True
 
 
-# 5e7 sites: rw peaks at 1.6 GB on binomial:0.3 and 2.3 GB on the
-# Hadamard target, qw at about 2.3 GB.  binomial:0.3 holds millions of empty sites,
-# whose split the gate keeps off them.  The last two cases are the paper's
-# claims: a quantum walk that spreads diffusively, and a random walk that
-# spreads ballistically like the Hadamard walk.
+# 5e7 sites: rw peaks at about 1560 MiB on binomial:0.3 and 2040 MiB on the
+# Hadamard target, qw at about 2040 MiB.  binomial:0.3 holds millions of empty
+# sites, whose split the gate keeps off them.  The last two cases are the
+# paper's claims: a quantum walk that spreads diffusively, and a random walk
+# that spreads ballistically like the Hadamard walk.
 @pytest.mark.parametrize("target, walk", [
     ("binomial:0.3", "rw"),
     ("uniform", "qw"),

@@ -2,12 +2,11 @@ import math
 import os
 import re
 import signal
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import random_jump_target
+from oracles import peak_buffers, random_jump_target
 from walkforge import evolve, lattice
 from walkforge.evolve import (
     HomogeneousCoinParams,
@@ -451,15 +450,10 @@ def test_mc_memory_does_not_grow_with_trajectories(monkeypatch):
     # code each worker runs.
     monkeypatch.setattr(evolve, "_usable_cpus", lambda: 1)
     schedule = JumpSchedule([np.full(t + 1, 0.5) for t in range(200)])
-    peaks = []
-    for n_traj in (4_000, 64_000):
-        tracemalloc.start()
-        try:
-            simulate_rw(schedule,
-                        McConfig(trajectories=n_traj, seed=0, horizon=200))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_buffers(simulate_rw, schedule,
+                          McConfig(trajectories=n_traj, seed=0, horizon=200),
+                          entries=slice_offset(201))
+             for n_traj in (4_000, 64_000)]
     assert peaks[1] <= 1.2 * peaks[0]
 
 
@@ -525,13 +519,17 @@ def test_exact_rw_holds_no_copy_of_the_schedule():
     # rho is one buffer; the NaN -> 0 replacement works slice by slice.
     horizon = 300
     schedule = JumpSchedule(np.full(slice_offset(horizon), 0.3))
-    tracemalloc.start()
-    try:
-        evolve_rw_exact(schedule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * slice_offset(horizon + 1) * 8
+    assert peak_buffers(evolve_rw_exact, schedule,
+                        entries=slice_offset(horizon + 1)) < 2
+
+
+def test_qw_takes_no_whole_horizon_temporaries():
+    # The coins' cos and sin are formed a slice block at a time, and with
+    # no undefined coin no coverage mass is formed, so psi+- and the norm's
+    # mass are the only float buffers of the field's size: about 3.1.  Whole
+    # cos and sin buffers, and a two-buffer mass, peaked at about 4.1.
+    coins = synthesize_coins(reconstruct_wavefield(uniform_target(2000)))
+    assert peak_buffers(evolve_qw, coins, entries=slice_offset(2001)) < 3.5
 
 
 def test_mc_sure_thing():

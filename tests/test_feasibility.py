@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import perturbed_jump_target
+from oracles import peak_buffers, perturbed_jump_target
 from walkforge.evolve import evolve_qw, evolve_rw_exact
 from walkforge.feasibility import (_feasible_split, flux_from_rho,
                                    flux_from_wavefield, validate_sequence)
@@ -144,13 +142,7 @@ def test_gate_takes_no_whole_buffer_temporaries():
     # only float buffers of the target's size.  Run as a second pass over
     # whole buffers, its |J|, masks and neighbour copies peaked at about 4.1.
     rho = uniform_target(2000)
-    tracemalloc.start()
-    try:
-        _feasible_split(rho)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * slice_offset(2000) * 8
+    assert peak_buffers(_feasible_split, rho, entries=slice_offset(2000)) < 2.5
 
 
 def _max_error(evolved, rho):

@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import peak_buffers
 from walkforge import lattice
+from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
 from walkforge.lattice import (
     CoinSchedule,
     ComplexWaveField,
@@ -28,6 +29,7 @@ from walkforge.lattice import (
     split_slices,
     to_storage_index,
 )
+from walkforge.synthesis import reconstruct_wavefield
 from walkforge.targets import uniform_target
 
 
@@ -101,13 +103,25 @@ def test_slice_totals_hold_at_most_five_blocks():
     # its cumsum and its step errors are live at once.  Keeping the last
     # block's three until the next cascade returned peaked at 1.57 MB here.
     buf = uniform_target(2000).buf
-    tracemalloc.start()
-    try:
-        lattice._totals(buf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * lattice._BLOCK_SIZE * 8
+    assert peak_buffers(lattice._totals, buf,
+                        entries=lattice._BLOCK_SIZE) < 5
+
+
+def test_mass_takes_one_buffer():
+    # |psi-|^2 is added into |psi+|^2 a chunk at a time; the whole-buffer
+    # sum of two squares held two buffers.
+    w = reconstruct_wavefield(uniform_target(2000))
+    assert peak_buffers(w.mass, entries=slice_offset(2001)) < 1.5
+
+
+def test_complex_walk_probabilities_take_one_mass_at_a_time():
+    # psi+- are two complex buffers, four float ones; the field's norm and
+    # the probabilities each form one mass buffer, the second after the
+    # first is gone.  Two-buffer masses peaked at about 6.0.
+    params = HomogeneousCoinParams(theta=0.7, eta=0.4, gamma=1.1)
+    assert peak_buffers(
+        lambda: probability_from_wavefield(evolve_qw_complex(params, 2000)),
+        entries=slice_offset(2001)) < 5.5
 
 
 def test_probability_sequence_rejects_bad_slice_length():

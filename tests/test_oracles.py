@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import perturbed_jump_target, random_jump_target
 from walkforge import feasibility, lattice, synthesis
-from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
+from walkforge.evolve import (HomogeneousCoinParams, evolve_qw,
+                              evolve_qw_complex)
 from walkforge.lattice import ProbabilitySequence, WalkError
 from walkforge.targets import binomial_target, uniform_target
 
@@ -183,15 +184,24 @@ def test_narrow_scan_blocks_match_oracles(monkeypatch, rows, budget, blocks):
     # Block shape never moves a bit.  At 64 entries the split's blocks hold
     # 16, 3, 2 and then 1 slice, each with one extra row; 1 or 3 rows make
     # blocks of one slice or three, and with 91 rows and 91^2 entries the
-    # whole target is one block.  Coins keep the default blocks' bytes.
+    # whole target is one block.  Coins, and the walk they evolve (its cos
+    # and sin come in blocks, its mass in chunks of _BLOCK_SIZE), keep the
+    # default blocks' bytes.
     rho = random_jump_target(np.random.default_rng(4), 90, p_edge=0.1)
     coins = synthesis.synthesize_coins(synthesis.reconstruct_wavefield(rho))
+
+    def evolved():  # from (0.6, 0.8), t = 51 holds mass at undefined coins
+        fields = evolve_qw(coins), evolve_qw(coins, (0.6, 0.8), 51)
+        return [f.plus_buf.tobytes() + f.minus_buf.tobytes() for f in fields]
+
+    walks = evolved()
     monkeypatch.setattr(lattice, "_BLOCK", rows)
     monkeypatch.setattr(lattice, "_BLOCK_SIZE", budget)
     assert len(list(lattice._blocks(rho.slices, extra=1))) == blocks
     check_against_oracles(rho)
     assert synthesis.synthesize_coins(synthesis.reconstruct_wavefield(
         rho)).buf.tobytes() == coins.buf.tobytes()
+    assert evolved() == walks
     field = _complex_walk(90)
     assert lattice.probability_from_wavefield(field).buf.tobytes() == \
         oracles.probability_from_wavefield(field).buf.tobytes()

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_jump_target
+from oracles import peak_buffers, random_jump_target
 from walkforge.evolve import (
     HomogeneousCoinParams,
     evolve_qw,
@@ -218,17 +217,21 @@ def test_uniform_round_trip_at_T2000(walk):
 
 
 def test_coins_take_no_whole_horizon_temporaries():
-    # The field is stepped in slice blocks, so the mass and the angles are
-    # the only float buffers of its size: about 2.4 at the peak.  Whole-
-    # buffer products and neighbour copies would take about 5.4.
+    # The field is stepped in slice blocks, which also form its mass, so the
+    # angles are the only float buffer of its size: about 1.4 at the peak
+    # with the range check's masks.  A whole mass() took 2.4; whole-buffer
+    # products and neighbour copies took about 5.4.
     w = reconstruct_wavefield(uniform_target(2000))
-    tracemalloc.start()
-    try:
-        synthesize_coins(w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * slice_offset(2000) * 8
+    assert peak_buffers(synthesize_coins, w, entries=slice_offset(2000)) < 2.0
+
+
+def test_reconstruction_drops_each_half_of_the_split():
+    # a and b each go once their np.insert copy exists, so at most three
+    # buffers live at once: psi+, b and psi-, then psi+, psi- and the mass.
+    # Holding both halves to the end peaked at about 4.1.
+    rho = uniform_target(2000)
+    assert peak_buffers(reconstruct_wavefield, rho,
+                        entries=slice_offset(2001)) < 3.5
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.71])
