@@ -194,7 +194,9 @@ def cmd_hadamard(args) -> int:
 def cmd_roundtrip(args) -> int:
     _require(args, "walk")
     rho = _target_sequence(args)
-    evolved = _evolve(_synthesize(rho, args.walk))
+    # The coins are only evolve_qw's argument: freed before the mass.
+    evolved = (probability_from_wavefield(evolve_qw(_synthesize(rho, "qw")))
+               if args.walk == "qw" else _evolve(_synthesize(rho, "rw")))
     err = np.abs(evolved.buf - rho.buf)
     worst = int(np.argmax(err))  # the earliest, then leftmost, largest error
     n, t = flat_sites(worst)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import walkforge
-from oracles import random_jump_target
+from oracles import peak_buffers, random_jump_target
 from walkforge import cli, evolve, io
 from walkforge.cli import main
 from walkforge.evolve import evolve_rw_exact
@@ -253,6 +253,12 @@ def test_rw_outputs_at_T2000_keep_their_bytes(capsys, tmp_path, target,
     assert code == 0
     assert [hashlib.sha256(b).hexdigest()[:16]
             for b in (path.read_bytes(), out.encode())] == [schedule, report]
+
+
+def test_roundtrip_frees_the_coins_before_the_mass(capsys):
+    # The qw round trip's coins go once evolved: 5.33 buffers before, 5.11.
+    argv = ["roundtrip", "--target", "uniform", "-T", "2000", "--walk", "qw"]
+    assert peak_buffers(main, argv, entries=slice_offset(2001)) < 5.2
 
 
 def test_exception_without_text_is_named(capsys, monkeypatch):
@@ -849,12 +855,14 @@ def test_input_errors_exit_2_with_one_json_object(capsys, tmp_path, argv,
 
 def test_cli_import_loads_no_scipy():
     # A fresh interpreter: this one holds whatever other tests imported.
+    # Nor is the JSON kernel loaded before the first JSON write.
     src = Path(walkforge.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, walkforge.cli; print(sorted("
-         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+         "m for m in sys.modules if m.partition('.')[0] == 'scipy'"
+         " or m == 'walkforge._json_kernel'))"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 

@@ -6,14 +6,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import peak_buffers
 from walkforge import io
+from walkforge._json_kernel import json_rows
+from walkforge.evolve import HomogeneousCoinParams, evolve_qw_complex
 from walkforge.lattice import (
     CoinSchedule,
     FormatError,
     InfeasibleTargetError,
     JumpSchedule,
     ScalarField,
+    probability_from_wavefield,
+    slice_offset,
 )
 from walkforge.targets import uniform_target
 
@@ -192,10 +198,27 @@ def _slice_table_doc(head, slices):
                        for s in slices]}
 
 
+def _edge_schedule(horizon):
+    """A jump schedule undefined at the first site of even slices, the last
+    site of odd slices, and every flat index i with i % 3 == 0 or i % 7 == 6:
+    at block edges of 1, 3 and 7 values."""
+    buf = np.random.default_rng(horizon + 1).uniform(0.0, 1.0,
+                                                     slice_offset(horizon))
+    t = np.arange(horizon)
+    edge = np.where(t % 2, slice_offset(t + 1) - 1, slice_offset(t))
+    buf[edge] = buf[::3] = buf[6::7] = math.nan
+    return JumpSchedule(buf)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, io._JSON_BLOCK])
 @pytest.mark.parametrize("horizon", [0, 1, 7, 60])
-def test_json_writers_are_byte_identical_to_json_dumps(tmp_path, horizon):
+def test_json_writers_are_byte_identical_to_json_dumps(tmp_path, monkeypatch,
+                                                       horizon, block):
+    # Blocks of 1, 3 and 7 values end at every offset within a slice.
+    monkeypatch.setattr(io, "_JSON_BLOCK", block)
     path = tmp_path / "out.json"
-    for sched, kind in zip(_random_schedules(horizon), ("jump", "coin")):
+    schedules = (*_random_schedules(horizon), _edge_schedule(horizon))
+    for sched, kind in zip(schedules, ("jump", "coin", "jump")):
         io.write_schedule_json(sched, path)
         doc = _slice_table_doc({"horizon": horizon, "kind": kind},
                                sched.value_slices)
@@ -204,6 +227,60 @@ def test_json_writers_are_byte_identical_to_json_dumps(tmp_path, horizon):
     io.write_field_json(rho, path)
     doc = _slice_table_doc({"horizon": horizon}, rho.slices)
     assert path.read_text() == json.dumps(doc) + "\n"
+
+
+def test_json_writer_holds_one_block_of_scratch(tmp_path):
+    rho = uniform_target(2000)
+    assert peak_buffers(io.write_field_json, rho, tmp_path / "rho.json",
+                        entries=slice_offset(2001)) < 0.1
+
+
+def _kernel_text(x):
+    """The values of ``x`` as the JSON writer's kernel joins them."""
+    flat = json_rows(np.asarray(x, np.float64)).ravel()
+    return flat[flat != 0].tobytes().decode()[:-2]
+
+
+def _repr_text(x):
+    return ", ".join(map(repr, np.asarray(x, np.float64).tolist()))
+
+
+_FINITE_BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                         st.integers(0, 1), st.integers(0, 0x7FE),
+                         st.integers(0, (1 << 52) - 1))
+
+
+@given(st.lists(_FINITE_BITS, min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_value_kernel_writes_repr_of_any_finite_float(bits):
+    x = np.array(bits, np.uint64).view(np.float64)
+    assert _kernel_text(x) == _repr_text(x)
+
+
+def test_value_kernel_writes_repr_of_edge_families():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 1 << 64, 50_000, np.uint64, endpoint=False)
+    odd = (rng.integers(1 << 51, 1 << 53, 10_000) | 1).astype(float)
+    walk = evolve_qw_complex(
+        HomogeneousCoinParams(theta=0.7, eta=0.4, gamma=1.1), 360)
+    edges = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{e}") for e in range(-323, 309)]])
+    families = {
+        "bit patterns": bits.view(np.float64)[np.isfinite(bits.view(float))],
+        "U(0,1)": rng.random(50_000),
+        "10^+-30": rng.random(50_000) * 10.0 ** rng.integers(-30, 31, 50_000),
+        "subnormals": np.arange(20_000, dtype=np.uint64).view(np.float64),
+        "powers and neighbours": np.concatenate(
+            [edges, np.nextafter(edges, 0), np.nextafter(edges, math.inf)]),
+        "integers": np.arange(50_001.0),
+        "halfway digits": np.concatenate([odd / 8, odd / 16, odd * 16]),
+        "a T = 360 field": probability_from_wavefield(walk).buf,
+        "notation edges": [0.0, -0.0, 1e16, 1e15, 1e-4, 1e-5, -1e16, 5e-324,
+                           1.7976931348623157e308, 2.2250738585072014e-308],
+    }
+    for name, x in families.items():
+        x = np.concatenate([x, np.negative(x)])
+        assert _kernel_text(x) == _repr_text(x), name
 
 
 @pytest.mark.parametrize("horizon", [1, 60, 300])
